@@ -24,7 +24,7 @@ from .mesh import (EdgeTopologyStats, QuadMesh, TriMesh, edge_topology_stats,
 from .metrics import (MetricsReport, SampledSurface, chamfer_f1,
                       edge_metrics, evaluate_mesh, normal_consistency,
                       sample_surface, small_angles)
-from .ndc import PredictionFields, close_holes, ndc_extract, undc_extract
+from .ndc import close_holes, ndc_extract, undc_extract
 from .nn import TrainConfig, make_network, train_network
 from .qef import PlaneConstraint, qef_objective, qef_solve, qef_solve_batch
 from .rng import derive_seed, rng_for
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Box", "CsgShape", "Cylinder", "EdgeField", "EdgeTopologyStats",
     "GridDims", "GridKind", "Intersect", "MaskGrids", "MetricsReport",
-    "NUM_TRANSFORMS", "PlaneConstraint", "PredictionFields", "QuadMesh",
+    "NUM_TRANSFORMS", "PlaneConstraint", "QuadMesh",
     "SampledSurface", "ScalarGrid", "SignGrid", "Sphere", "Subtract",
     "TrainConfig", "TrainingSample", "TriMesh", "Union", "VertexOffsetGrid",
     "augment_sample", "build_masks", "chamfer_f1", "cloud_active_cells",

@@ -1,11 +1,13 @@
-"""Shared face assembly for every dual-contouring style extractor.
+"""The edge-cell ring and the face assembly of every dual extractor.
 
-A cell owning at least one flagged edge gets one mesh vertex. Every
-flagged edge whose four surrounding cells all exist becomes one quad
-joining those cells' vertices. For an edge along axis a the four cells
-are listed counter-clockwise when viewed from +a, so the quad normal
-follows +a; an optional sign grid reverses faces whose upper endpoint is
-inside so that normals point outward.
+`edge_ring` is the one definition of the four cells around an edge (see
+the conventions in grids.py); active cells, quads, per-cell constraints
+and occupancy masks all read it. A cell owning at least one flagged
+edge gets one mesh vertex. Every flagged edge whose four surrounding
+cells all exist becomes one quad joining those cells' vertices in ring
+order, so the quad normal follows the edge axis; an optional sign grid
+reverses faces whose upper endpoint is inside so that normals point
+outward.
 
 Determinism: cells are numbered x-fastest (then y, then z) and faces are
 emitted axis x, then y, then z, each block in the same memory order.
@@ -19,12 +21,54 @@ from .grids import EdgeField, SignGrid, VertexOffsetGrid
 from .mesh import QuadMesh
 
 
+def edge_ring(axis: int) -> np.ndarray:
+    """(4, 3) offsets from an edge's lower endpoint to the cells around it."""
+    b, c = (axis + 1) % 3, (axis + 2) % 3
+    ring = np.zeros((4, 3), dtype=np.int64)
+    ring[:, b] = (-1, 0, 0, -1)
+    ring[:, c] = (-1, -1, 0, 0)
+    return ring
+
+
+def _window(arr: np.ndarray, start, shape) -> np.ndarray:
+    return arr[tuple(slice(s, s + n) for s, n in zip(start, shape))]
+
+
+def interior_edges(axis: int) -> tuple[slice, slice, slice]:
+    """Index of the edges along `axis` whose whole ring lies in the grid."""
+    sl = [slice(1, -1)] * 3
+    sl[axis] = slice(None)
+    return tuple(sl)
+
+
+def ring_cells(cell_arr: np.ndarray, axis: int) -> list[np.ndarray]:
+    """Per-cell data around each interior edge along `axis`.
+
+    Four views shaped like `edges[interior_edges(axis)]`: view s holds
+    the value of cell p + edge_ring(axis)[s] for edge p.
+    """
+    shape = [n - 1 for n in cell_arr.shape[:3]]
+    shape[axis] += 1
+    start = 1 - np.eye(3, dtype=np.int64)[axis]  # interior edges start at 1 across the axis
+    return [_window(cell_arr, start + r, shape) for r in edge_ring(axis)]
+
+
+def cell_edges(edge_arr: np.ndarray, axis: int, cell_shape) -> list[np.ndarray]:
+    """Per-edge data on each cell's four edges along `axis`.
+
+    Four views shaped `cell_shape`: view s holds the value of edge
+    q - edge_ring(axis)[s] for cell q.
+    """
+    return [_window(edge_arr, -r, cell_shape) for r in edge_ring(axis)]
+
+
 def active_cell_mask(flags: EdgeField) -> np.ndarray:
     """True for cells with at least one of their 12 edges flagged."""
-    fx, fy, fz = (a.astype(bool) for a in flags.axes)
-    act = fx[:, :-1, :-1] | fx[:, 1:, :-1] | fx[:, :-1, 1:] | fx[:, 1:, 1:]
-    act |= fy[:-1, :, :-1] | fy[1:, :, :-1] | fy[:-1, :, 1:] | fy[1:, :, 1:]
-    act |= fz[:-1, :-1, :] | fz[1:, :-1, :] | fz[:-1, 1:, :] | fz[1:, 1:, :]
+    shape = flags.dims.cell_shape
+    act = np.zeros(shape, dtype=bool)
+    for a in range(3):
+        for view in cell_edges(flags.axis(a).astype(bool), a, shape):
+            act |= view
     return act
 
 
@@ -54,36 +98,17 @@ def assemble_dual_mesh(
 
     quad_blocks = []
     for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        arr = flags.axis(a).astype(bool)
-        interior = [slice(None)] * 3
-        interior[b] = slice(1, -1)
-        interior[c] = slice(1, -1)
-        block = arr[tuple(interior)]
-        if block.size == 0:
-            continue
+        block = flags.axis(a).astype(bool)[interior_edges(a)]
         # edge coordinates in x-fastest order within this axis block
         zz, yy, xx = np.nonzero(block.transpose(2, 1, 0))
         if len(xx) == 0:
             continue
-        base = np.stack([xx, yy, zz], axis=1)
-        base[:, b] += 1
-        base[:, c] += 1
-
-        corner = np.zeros((4, 3), dtype=np.int64)
-        corner[0, b], corner[0, c] = -1, -1
-        corner[1, b], corner[1, c] = 0, -1
-        corner[2, b], corner[2, c] = 0, 0
-        corner[3, b], corner[3, c] = -1, 0
-        quad = np.empty((len(base), 4), dtype=np.int64)
-        for s in range(4):
-            cell = base + corner[s]
-            quad[:, s] = ids[cell[:, 0], cell[:, 1], cell[:, 2]]
+        quad = np.stack([ring[xx, yy, zz] for ring in ring_cells(ids, a)], axis=1)
 
         if flip_inside is not None:
-            upper = base.copy()
-            upper[:, a] += 1
-            flip = flip_inside.inside[upper[:, 0], upper[:, 1], upper[:, 2]]
+            # the block starts one vertex in across the axis, and the
+            # upper endpoint is one vertex on along it
+            flip = flip_inside.inside[xx + 1, yy + 1, zz + 1]
             quad[flip] = quad[flip, ::-1]
         quad_blocks.append(quad)
 

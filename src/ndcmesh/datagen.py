@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from ._dual import active_cell_mask
+from ._dual import active_cell_mask, interior_edges, ring_cells
 from .csg import CsgShape, csg_gradient
-from .dc import _cell_constraints
+from .dc import qef_cell_offsets
 from .errors import EmptyMesh, InvalidKind, OpenMeshError, ShapeError, TooFewPoints
 from .grids import (
     EdgeField,
@@ -25,15 +25,18 @@ from .grids import (
     ScalarGrid,
     SignGrid,
     VertexOffsetGrid,
+    edge_ends,
     signs_from_scalar,
+    unit_normals,
     xor_flags,
 )
-from .mesh import TriMesh, edge_topology_stats, triangle_areas
-from .qef import qef_solve_batch
+from .mesh import TriMesh, edge_topology_stats, sample_triangles
 from .rng import rng_for
 
 BAND_WIDTH = 1.0  # field units: supervision band for grid inputs
 ACTIVE_MANHATTAN = 3  # cell units: active band around a point cloud
+PROBE_DOUBLINGS = 4  # CSG clouds: times the surface probe box may double
+SIDE_TOL = 1e-9  # cell units: a lattice line this close to a triangle side is on it
 
 
 @dataclass
@@ -78,11 +81,7 @@ def _csg_edge_data(shape: CsgShape, dims: GridDims, iters: int = 30):
     tvals = EdgeField.full(dims, np.nan, np.float64)
     normals = EdgeField.full(dims, np.nan, np.float64, trailing=(3,))
     for axis in range(3):
-        lo_sl = [slice(None)] * 3
-        hi_sl = [slice(None)] * 3
-        lo_sl[axis] = slice(None, -1)
-        hi_sl[axis] = slice(1, None)
-        va, vb = vals[tuple(lo_sl)], vals[tuple(hi_sl)]
+        va, vb = edge_ends(vals, axis)
         cross = (va < 0) ^ (vb < 0)
         flags.axis(axis)[...] = cross
         if not np.any(cross):
@@ -102,22 +101,45 @@ def _csg_edge_data(shape: CsgShape, dims: GridDims, iters: int = 30):
             hi = np.where(go_lo, hi, mid)
         t = 0.5 * (lo + hi)
         pts = base + t[:, None] * direction
-        g = csg_gradient(shape, pts)
-        norm = np.linalg.norm(g, axis=1, keepdims=True)
-        bad = norm[:, 0] < 1e-300
-        g = g / np.where(norm > 0, norm, 1.0)
-        g[bad] = (1.0, 0.0, 0.0)
         tvals.axis(axis)[cross] = t
-        normals.axis(axis)[cross] = g
+        normals.axis(axis)[cross] = unit_normals(csg_gradient(shape, pts))
     return flags, tvals, normals
 
 
-def _triangle_columns(mesh: TriMesh, axis: int):
+def _half_open_hits(corners: np.ndarray, det: float, q: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Re-decide the lattice lines within SIDE_TOL of a triangle side.
+
+    Such a line counts as if moved by an infinitesimal step along +b,
+    then +c, so a line through a side shared by two triangles, or
+    through a vertex shared by a fan, hits exactly one of them. Each
+    side's edge function is computed from its endpoints in lexicographic
+    order, so triangles sharing the side compute it bit for bit alike.
+    """
+    near = np.zeros(len(q), dtype=bool)
+    inside = np.ones(len(q), dtype=bool)
+    for i in range(3):
+        p, r = corners[i], corners[(i + 1) % 3]
+        swap = tuple(r) < tuple(p)
+        if swap:
+            p, r = r, p
+        d = r - p
+        e = d[0] * (q[:, 1] - p[1]) - d[1] * (q[:, 0] - p[0])
+        on = np.abs(e) <= SIDE_TOL * np.hypot(d[0], d[1])
+        # sign of e after the step: cross(d, +b) = -d[1], else cross(d, +c) = d[0]
+        side = np.where(on, np.sign(-d[1] if d[1] != 0 else d[0]), np.sign(e))
+        inside &= (-side if swap else side) == np.sign(det)
+        near |= on
+    return np.where(near, inside, hit)
+
+
+def _triangle_columns(mesh: TriMesh, axis: int, half_open: bool = False):
     """Intersections of every lattice line along `axis` with the mesh.
 
     Yields (b_index, c_index, u, normal) arrays where (b, c) are the two
     other axes in cyclic order and u is the intersection coordinate along
-    `axis`. Triangles parallel to the axis are skipped.
+    `axis`. Triangles parallel to the axis are skipped. Triangles are
+    closed, so a line through a shared side hits both triangles, unless
+    `half_open` gives each such line to one of them (`_half_open_hits`).
     """
     b, c = (axis + 1) % 3, (axis + 2) % 3
     v = mesh.vertices
@@ -132,10 +154,10 @@ def _triangle_columns(mesh: TriMesh, axis: int):
         det = (b2[0] - a2[0]) * (c2[1] - a2[1]) - (c2[0] - a2[0]) * (b2[1] - a2[1])
         if abs(det) < 1e-14:
             continue
-        lob = int(np.ceil(min(a2[0], b2[0], c2[0])))
-        hib = int(np.floor(max(a2[0], b2[0], c2[0])))
-        loc = int(np.ceil(min(a2[1], b2[1], c2[1])))
-        hic = int(np.floor(max(a2[1], b2[1], c2[1])))
+        lob = int(np.ceil(min(a2[0], b2[0], c2[0]) - SIDE_TOL))
+        hib = int(np.floor(max(a2[0], b2[0], c2[0]) + SIDE_TOL))
+        loc = int(np.ceil(min(a2[1], b2[1], c2[1]) - SIDE_TOL))
+        hic = int(np.floor(max(a2[1], b2[1], c2[1]) + SIDE_TOL))
         if lob > hib or loc > hic:
             continue
         bb, cc = np.meshgrid(np.arange(lob, hib + 1), np.arange(loc, hic + 1), indexing="ij")
@@ -145,7 +167,15 @@ def _triangle_columns(mesh: TriMesh, axis: int):
         py = cc - a2[1]
         w1 = ((c2[1] - a2[1]) * px - (c2[0] - a2[0]) * py) / det
         w2 = (-(b2[1] - a2[1]) * px + (b2[0] - a2[0]) * py) / det
-        hit = (w1 >= 0) & (w2 >= 0) & (w1 + w2 <= 1)
+        least = np.minimum(np.minimum(w1, w2), 1 - (w1 + w2))
+        hit = least >= 0
+        if half_open:
+            # each weight is a side's edge function over det; within SIDE_TOL
+            # of a side, that is at most SIDE_TOL * (side length) / |det|
+            close = np.abs(least) <= 4 * SIDE_TOL * (max(hib - lob, hic - loc) + 2) / abs(det)
+            if np.any(close):
+                hit[close] = _half_open_hits(np.array([a2, b2, c2]), det,
+                                             np.stack([bb[close], cc[close]], axis=1), hit[close])
         if not np.any(hit):
             continue
         u = pa[axis] + w1[hit] * (pb[axis] - pa[axis]) + w2[hit] * (pc[axis] - pa[axis])
@@ -169,7 +199,7 @@ def _mesh_parity_inside(mesh: TriMesh, dims: GridDims) -> np.ndarray:
     sizes = dims.vertex_shape
     for axis in range(3):
         b, c = (axis + 1) % 3, (axis + 2) % 3
-        bs, cs, us, _ = _triangle_columns(mesh, axis)
+        bs, cs, us, _ = _triangle_columns(mesh, axis, half_open=True)
         counts = np.zeros((sizes[axis] + 1, sizes[b], sizes[c]), dtype=np.int32)
         ok = (bs >= 0) & (bs < sizes[b]) & (cs >= 0) & (cs < sizes[c])
         bs, cs, us = bs[ok], cs[ok], us[ok]
@@ -335,11 +365,7 @@ def pseudo_gt_vertices(crossings: EdgeField, normals: EdgeField, dims: GridDims)
 
     Cells without crossings get the centered offset (0.5, 0.5, 0.5).
     """
-    valid, pts, nrm = _cell_constraints(crossings, normals)
-    active = valid.any(axis=-1)
-    offsets = np.full(dims.cell_shape + (3,), 0.5)
-    if np.any(active):
-        offsets[active] = qef_solve_batch(pts[active], nrm[active], valid[active])
+    offsets, _ = qef_cell_offsets(crossings, normals)
     return VertexOffsetGrid(dims, offsets)
 
 
@@ -356,19 +382,6 @@ def cloud_active_cells(cloud: np.ndarray, dims: GridDims, reach: int = ACTIVE_MA
     if reach > 0:
         occ = ndimage.binary_dilation(occ, iterations=reach)
     return occ
-
-
-def _cells_with_differing_corners(signs: SignGrid) -> np.ndarray:
-    s = signs.inside
-    alltrue = np.ones(signs.dims.cell_shape, dtype=bool)
-    allfalse = np.ones(signs.dims.cell_shape, dtype=bool)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                corner = s[dx : dx + s.shape[0] - 1, dy : dy + s.shape[1] - 1, dz : dz + s.shape[2] - 1]
-                alltrue &= corner
-                allfalse &= ~corner
-    return ~(alltrue | allfalse)
 
 
 def _edges_owned_by_cells(cellmask: np.ndarray, dims: GridDims) -> EdgeField:
@@ -403,7 +416,7 @@ def build_masks(
     if mode == "ndc":
         if gt_signs is None:
             raise ShapeError("ndc masks need ground-truth signs")
-        m_v = _cells_with_differing_corners(gt_signs)
+        m_v = active_cell_mask(xor_flags(gt_signs))
     else:
         if gt_flags is None:
             raise ShapeError("undc masks need ground-truth flags")
@@ -418,12 +431,7 @@ def build_masks(
     elif grid is not None and grid.kind in (GridKind.SDF, GridKind.UDF):
         band = np.abs(grid.values) < BAND_WIDTH
         m_s = band
-        m_f = EdgeField(
-            dims,
-            band[:-1, :, :] & band[1:, :, :],
-            band[:, :-1, :] & band[:, 1:, :],
-            band[:, :, :-1] & band[:, :, 1:],
-        )
+        m_f = EdgeField(dims, *(np.logical_and(*edge_ends(band, a)) for a in range(3)))
     elif grid is not None and grid.kind == GridKind.OCC:
         occ = grid.values[:-1, :-1, :-1] > 0.5
         padded = np.pad(occ, 1, constant_values=False)
@@ -434,21 +442,8 @@ def build_masks(
                 for dz in (0, 1):
                     m_s[dx : dx + occ.shape[0], dy : dy + occ.shape[1], dz : dz + occ.shape[2]] |= surface_cells
         # edges whose four surrounding cells are all occupied
-        occ_i = occ.astype(np.int32)
         for a in range(3):
-            b, c = (a + 1) % 3, (a + 2) % 3
-            arr = m_f.axis(a)
-            interior = [slice(None)] * 3
-            interior[b] = slice(1, -1)
-            interior[c] = slice(1, -1)
-            total = None
-            for db, dc in ((-1, -1), (0, -1), (0, 0), (-1, 0)):
-                sl = [slice(None)] * 3
-                sl[b] = slice(1 + db, occ.shape[b] + db)
-                sl[c] = slice(1 + dc, occ.shape[c] + dc)
-                cellblock = occ_i[tuple(sl)]
-                total = cellblock if total is None else total + cellblock
-            arr[tuple(interior)] = total == 4
+            m_f.axis(a)[interior_edges(a)] = np.logical_and.reduce(ring_cells(occ, a))
     return MaskGrids(dims, m_s, m_v, m_f)
 
 
@@ -470,21 +465,7 @@ def sample_point_cloud(
     """
     rng = rng_for(seed, "point-cloud")
     if isinstance(source, TriMesh):
-        if len(source.tris) == 0:
-            raise EmptyMesh("cannot sample an empty mesh")
-        areas = triangle_areas(source.vertices, source.tris)
-        total = areas.sum()
-        if total <= 0:
-            raise EmptyMesh("mesh has zero total area")
-        pick = rng.choice(len(areas), size=count, p=areas / total)
-        u = rng.random(count)
-        v = rng.random(count)
-        flip = u + v > 1
-        u[flip], v[flip] = 1 - u[flip], 1 - v[flip]
-        a = source.vertices[source.tris[pick, 0]]
-        b = source.vertices[source.tris[pick, 1]]
-        c = source.vertices[source.tris[pick, 2]]
-        pts = a + u[:, None] * (b - a) + v[:, None] * (c - a)
+        _, pts = sample_triangles(source, count, rng)
     else:
         pts = _project_csg_samples(source, count, rng)
     if noise_sigma > 0:
@@ -493,12 +474,26 @@ def sample_point_cloud(
 
 
 def _project_csg_samples(shape: CsgShape, count: int, rng: np.random.Generator) -> np.ndarray:
-    # establish a loose bounding box from a coarse probe of the field
-    probe = rng.uniform(-64, 128, size=(4096, 3))
-    vals = shape(probe)
-    near = probe[vals < np.quantile(vals, 0.25)]
-    lo = near.min(axis=0) - 4
-    hi = near.max(axis=0) + 4
+    # establish a loose bounding box from a coarse probe of the field; a
+    # surface that reaches the box may be cut off by it, so the probe
+    # doubles about its center until the samples stay clear of the box
+    low, high = -64.0, 128.0
+    for _ in range(PROBE_DOUBLINGS + 1):
+        probe = rng.uniform(low, high, size=(4096, 3))
+        vals = shape(probe)
+        near = probe[vals < np.quantile(vals, 0.25)]
+        lo = near.min(axis=0) - 4
+        hi = near.max(axis=0) + 4
+        pts = _project_box_samples(shape, count, rng, lo, hi)
+        if np.all((pts > lo + 1) & (pts < hi - 1)):
+            return pts[:count]
+        low, high = 1.5 * low - 0.5 * high, 1.5 * high - 0.5 * low
+    raise TooFewPoints(f"surface still reaches the probe box after {PROBE_DOUBLINGS} doublings")
+
+
+def _project_box_samples(shape: CsgShape, count: int, rng: np.random.Generator,
+                         lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """At least `count` surface points, projected from box-uniform candidates."""
     out = []
     have = 0
     for _ in range(64):
@@ -518,7 +513,7 @@ def _project_csg_samples(shape: CsgShape, count: int, rng: np.random.Generator) 
             break
     if have < count:
         raise TooFewPoints(f"projection found only {have} of {count} surface points")
-    return np.concatenate(out)[:count]
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------

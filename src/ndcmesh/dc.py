@@ -17,7 +17,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from ._dual import assemble_dual_mesh
+from ._dual import assemble_dual_mesh, cell_edges, edge_ring
 from .grids import (
     EdgeField,
     ScalarGrid,
@@ -26,6 +26,7 @@ from .grids import (
     edge_crossing_normals,
     edge_crossings_linear,
     signs_from_scalar,
+    unit_normals,
     xor_flags,
 )
 from .mesh import QuadMesh
@@ -46,31 +47,6 @@ CELL_MARGIN = 1.0
 # tangent planes of a curved surface disagree at the 1e-2 scale, so the
 # threshold cleanly separates the two.
 FEATURE_TOL = 1e-6
-
-
-def _unit_normals(n: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(n, axis=-1, keepdims=True)
-    zero = norm[..., 0] < 1e-300
-    n = n / np.where(norm > 0, norm, 1.0)
-    n[zero] = (1.0, 0.0, 0.0)
-    return n
-
-
-def _exact_edge_normals(crossings: EdgeField, normal_fn) -> EdgeField:
-    """Evaluate an analytic normal at every crossing point."""
-    dims = crossings.dims
-    out = EdgeField.full(dims, np.nan, np.float64, trailing=(3,))
-    for axis in range(3):
-        t = crossings.axis(axis)
-        mask = ~np.isnan(t)
-        if not np.any(mask):
-            continue
-        base = np.argwhere(mask).astype(np.float64)
-        pts = base.copy()
-        pts[:, axis] += t[mask]
-        n = np.asarray(normal_fn(pts), dtype=np.float64).reshape(-1, 3)
-        out.axis(axis)[mask] = _unit_normals(n)
-    return out
 
 
 def _projected_edge_anchors(
@@ -104,7 +80,7 @@ def _projected_edge_anchors(
         v = np.where(take_lo[:, None], lo, hi)
         phi = np.where(take_lo, phi_lo, phi_hi)
         n = np.asarray(normal_fn(v.astype(np.float64)), dtype=np.float64)
-        n = _unit_normals(n.reshape(-1, 3))
+        n = unit_normals(n.reshape(-1, 3))
         anchors.axis(axis)[mask] = v - phi[:, None] * n
         normals.axis(axis)[mask] = n
     return anchors, normals
@@ -118,7 +94,9 @@ def _cell_constraints(
     Returns (valid, points, nvec) shaped (cells..., 12[, 3]) with points
     in cell-local coordinates. Points come from the crossing parameter on
     the edge, or from `anchors` (absolute positions, e.g. surface
-    projections that may lie off the edge) when given.
+    projections that may lie off the edge) when given. Slots run by edge
+    axis, then by the edge's offset along the lower-numbered other axis,
+    then the higher one; the QEF sums rows in this order.
     """
     dims = crossings.dims
     shape = dims.cell_shape
@@ -129,31 +107,42 @@ def _cell_constraints(
         np.meshgrid(*(np.arange(s, dtype=np.float64) for s in shape), indexing="ij"),
         axis=-1,
     )
-    slot = 0
+    fields = (crossings, normals) if anchors is None else (crossings, normals, anchors)
     for axis in range(3):
-        b, c = (a for a in range(3) if a != axis)
-        t = crossings.axis(axis)
-        nv = normals.axis(axis)
-        av = anchors.axis(axis) if anchors is not None else None
-        for db in (0, 1):
-            for dc in (0, 1):
-                sl = [slice(None)] * 3
-                sl[b] = slice(db, db + shape[b])
-                sl[c] = slice(dc, dc + shape[c])
-                tt = t[tuple(sl)]
-                ok = ~np.isnan(tt)
-                valid[..., slot] = ok
-                if av is None:
-                    local = np.zeros(shape + (3,))
-                    local[..., axis] = np.nan_to_num(tt)
-                    local[..., b] = db
-                    local[..., c] = dc
-                else:
-                    local = np.nan_to_num(av[tuple(sl)]) - origin
-                pts[..., slot, :] = local
-                nrm[..., slot, :] = np.nan_to_num(nv[tuple(sl)])
-                slot += 1
+        views = [cell_edges(f.axis(axis), axis, shape) for f in fields]
+        offsets = -edge_ring(axis)
+        # the offsets sort lexicographically into the slot order
+        for k, s in enumerate(sorted(range(4), key=lambda s: tuple(offsets[s]))):
+            slot = 4 * axis + k
+            tt = views[0][s]
+            valid[..., slot] = ~np.isnan(tt)
+            if anchors is None:
+                pts[..., slot, :] = offsets[s]
+                pts[..., slot, axis] = np.nan_to_num(tt)
+            else:
+                pts[..., slot, :] = np.nan_to_num(views[2][s]) - origin
+            nrm[..., slot, :] = np.nan_to_num(views[1][s])
     return valid, pts, nrm
+
+
+def qef_cell_offsets(
+    crossings: EdgeField,
+    normals: EdgeField,
+    anchors: EdgeField | None = None,
+    bounds: tuple[np.ndarray, np.ndarray] = (np.zeros(3), np.ones(3)),
+):
+    """One QEF solve per cell that has a crossing edge.
+
+    Returns (offsets, constraints): cell-local vertex offsets clamped to
+    bounds, (0.5, 0.5, 0.5) for cells without crossings, and the
+    (valid, points, normals) arrays of `_cell_constraints`.
+    """
+    valid, pts, nrm = _cell_constraints(crossings, normals, anchors)
+    active = valid.any(axis=-1)
+    offsets = np.full(crossings.dims.cell_shape + (3,), 0.5)
+    if np.any(active):
+        offsets[active] = qef_solve_batch(pts[active], nrm[active], valid[active], bounds)
+    return offsets, (valid, pts, nrm)
 
 
 def _gather_neighborhood(cells: np.ndarray, valid, pts, nrm):
@@ -235,27 +224,23 @@ def _dc_solve(
         anchors, normals = _projected_edge_anchors(
             grid, crossings, normal_source, iso)
 
-    valid, pts, nrm = _cell_constraints(crossings, normals, anchors)
+    bounds = (np.full(3, -CELL_MARGIN), np.full(3, 1.0 + CELL_MARGIN))
+    offsets, (valid, pts, nrm) = qef_cell_offsets(crossings, normals, anchors, bounds)
     active = valid.any(axis=-1)
-    offsets = np.full(grid.dims.cell_shape + (3,), 0.5)
-    if np.any(active):
-        bounds = (np.full(3, -CELL_MARGIN), np.full(3, 1.0 + CELL_MARGIN))
-        sol = qef_solve_batch(pts[active], nrm[active], valid[active], bounds)
-        offsets[active] = sol
-
-        if anchors is not None:
-            rows = nrm[active] * valid[active][..., None]
-            _, s, vt = np.linalg.svd(rows, full_matrices=False)
-            kept = s >= TRUNCATION_RATIO * s[:, :1]
-            deficient = ~kept[:, 2]
-            if np.any(deficient):
-                cells = np.argwhere(active)[deficient]
-                basis = np.where(~kept[deficient][:, :, None], vt[deficient], 0.0)
-                x_aug, misfit = _nullspace_resolve(
-                    cells, sol[deficient], basis, valid, pts, nrm)
-                at = tuple(cells.T)
-                feature = misfit <= FEATURE_TOL * FEATURE_TOL
-                offsets[at] = np.where(feature[:, None], x_aug, sol[deficient])
+    if anchors is not None and np.any(active):
+        sol = offsets[active]
+        rows = nrm[active] * valid[active][..., None]
+        _, s, vt = np.linalg.svd(rows, full_matrices=False)
+        kept = s >= TRUNCATION_RATIO * s[:, :1]
+        deficient = ~kept[:, 2]
+        if np.any(deficient):
+            cells = np.argwhere(active)[deficient]
+            basis = np.where(~kept[deficient][:, :, None], vt[deficient], 0.0)
+            x_aug, misfit = _nullspace_resolve(
+                cells, sol[deficient], basis, valid, pts, nrm)
+            at = tuple(cells.T)
+            feature = misfit <= FEATURE_TOL * FEATURE_TOL
+            offsets[at] = np.where(feature[:, None], x_aug, sol[deficient])
     return signs, offsets
 
 

@@ -9,6 +9,10 @@ class ShapeError(NdcMeshError):
     """An array does not have the shape required by a grid contract."""
 
 
+class NonFiniteValues(NdcMeshError):
+    """A grid holds NaN or infinite samples."""
+
+
 class InvalidKind(NdcMeshError):
     """A scalar grid has the wrong kind for the requested operation."""
 

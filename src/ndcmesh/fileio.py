@@ -69,6 +69,7 @@ def read_obj(path):
     """
     vertices = []
     faces = []
+    face_lines = []
     skipped = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -100,12 +101,13 @@ def read_obj(path):
                 if any(i < 0 or i >= 10 ** 9 for i in idx):
                     raise ObjParseError("face index out of range", lineno)
                 faces.append(np.array(idx, dtype=np.int64))
+                face_lines.append(lineno)
             else:
                 skipped += 1
     verts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    for f in faces:
+    for f, lineno in zip(faces, face_lines):
         if f.max(initial=-1) >= len(verts):
-            raise ObjParseError("face references a missing vertex", 0)
+            raise ObjParseError("face references a missing vertex", lineno)
     return verts, faces, skipped
 
 

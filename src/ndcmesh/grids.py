@@ -8,7 +8,12 @@ Conventions used across the package:
   (m-1)*(n-1)*(k-1) of them.
 * Edges are indexed by axis and by their lower endpoint: the x-edge
   (i, j, l) joins vertices (i, j, l) and (i+1, j, l), and likewise for y
-  and z.
+  and z. `edge_ends` gives the data at both endpoints of every edge.
+* The ring of an edge along axis a with lower endpoint p is its four
+  cells p + r, where r is 0 along a and runs over (-1, -1), (0, -1),
+  (0, 0), (-1, 0) along ((a + 1) % 3, (a + 2) % 3): counter-clockwise
+  viewed from +a. Read the other way, cell q has the four edges q - r
+  along a. `_dual.edge_ring` holds this table.
 * A vertex is inside the shape when its scalar value is strictly below
   the iso level; a value exactly at the level counts as outside.
 * Serialized payloads are laid out x-fastest, then y, then z (Fortran
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidKind, ShapeError
+from .errors import InvalidKind, NonFiniteValues, ShapeError
 
 
 class GridKind(enum.Enum):
@@ -95,6 +100,8 @@ class ScalarGrid:
         _check_shape("ScalarGrid.values", self.values, self.dims.vertex_shape)
         if self.values.ndim != 3:
             raise ShapeError("ScalarGrid.values must be a 3d array")
+        if not np.all(np.isfinite(self.values)):
+            raise NonFiniteValues("ScalarGrid.values must be finite")
         if self.kind == GridKind.UDF and np.any(self.values < 0):
             raise InvalidKind("UDF grids must be non-negative")
         if self.kind == GridKind.OCC:
@@ -184,15 +191,19 @@ def signs_from_scalar(grid: ScalarGrid, iso: float = 0.0) -> SignGrid:
     return SignGrid(grid.dims, grid.values < iso)
 
 
+def edge_ends(arr: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of per-vertex data at the lower and upper endpoint of every
+    edge along `axis`; both are shaped like the edge array."""
+    lo = [slice(None)] * 3
+    hi = [slice(None)] * 3
+    lo[axis] = slice(None, -1)
+    hi[axis] = slice(1, None)
+    return arr[tuple(lo)], arr[tuple(hi)]
+
+
 def xor_flags(signs: SignGrid) -> EdgeField:
     """Edge crossing flags: true exactly where the two endpoint signs differ."""
-    s = signs.inside
-    return EdgeField(
-        signs.dims,
-        s[:-1, :, :] ^ s[1:, :, :],
-        s[:, :-1, :] ^ s[:, 1:, :],
-        s[:, :, :-1] ^ s[:, :, 1:],
-    )
+    return EdgeField(signs.dims, *(np.not_equal(*edge_ends(signs.inside, a)) for a in range(3)))
 
 
 def edge_crossings_linear(grid: ScalarGrid, iso: float = 0.0) -> EdgeField:
@@ -207,11 +218,7 @@ def edge_crossings_linear(grid: ScalarGrid, iso: float = 0.0) -> EdgeField:
     v = grid.values - iso
     arrs = []
     for axis in range(3):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        a, b = v[tuple(lo)], v[tuple(hi)]
+        a, b = edge_ends(v, axis)
         cross = (a < 0) ^ (b < 0)
         t = np.full(a.shape, np.nan)
         denom = a - b
@@ -226,26 +233,16 @@ def central_gradients(grid: ScalarGrid) -> np.ndarray:
     Central differences in the interior, one-sided at the boundary
     slices. Units are field units per cell.
     """
-    v = grid.values
-    out = np.empty(v.shape + (3,))
-    for axis in range(3):
-        g = np.empty_like(v)
-        interior = [slice(None)] * 3
-        plus = [slice(None)] * 3
-        minus = [slice(None)] * 3
-        interior[axis] = slice(1, -1)
-        plus[axis] = slice(2, None)
-        minus[axis] = slice(None, -2)
-        if v.shape[axis] > 2:
-            g[tuple(interior)] = 0.5 * (v[tuple(plus)] - v[tuple(minus)])
-        first, second = [slice(None)] * 3, [slice(None)] * 3
-        first[axis], second[axis] = 0, 1
-        g[tuple(first)] = v[tuple(second)] - v[tuple(first)]
-        last, prev = [slice(None)] * 3, [slice(None)] * 3
-        last[axis], prev[axis] = -1, -2
-        g[tuple(last)] = v[tuple(last)] - v[tuple(prev)]
-        out[..., axis] = g
-    return out
+    return np.stack(np.gradient(grid.values), axis=-1)
+
+
+def unit_normals(n: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; zero-length rows become +x."""
+    norm = np.linalg.norm(n, axis=-1, keepdims=True)
+    zero = norm[..., 0] < 1e-300
+    n = n / np.where(norm > 0, norm, 1.0)
+    n[zero] = (1.0, 0.0, 0.0)
+    return n
 
 
 def edge_crossing_normals(grid: ScalarGrid, crossings: EdgeField) -> tuple[EdgeField, int]:
@@ -260,11 +257,7 @@ def edge_crossing_normals(grid: ScalarGrid, crossings: EdgeField) -> tuple[EdgeF
     degenerate = 0
     for axis in range(3):
         t = crossings.axis(axis)
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        ga, gb = grads[tuple(lo)], grads[tuple(hi)]
+        ga, gb = edge_ends(grads, axis)
         w = np.nan_to_num(t)[..., None]
         n = (1.0 - w) * ga + w * gb
         norm = np.linalg.norm(n, axis=-1)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import EmptyMesh, ShapeError
 from .rng import rng_for
 
 
@@ -19,7 +19,7 @@ class QuadMesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         self.quads = np.asarray(self.quads, dtype=np.int64).reshape(-1, 4)
-        if self.quads.size and self.quads.max(initial=-1) >= len(self.vertices):
+        if self.quads.size and not 0 <= self.quads.min() <= self.quads.max() < len(self.vertices):
             raise ShapeError("quad index out of range")
 
     @property
@@ -35,7 +35,7 @@ class TriMesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         self.tris = np.asarray(self.tris, dtype=np.int64).reshape(-1, 3)
-        if self.tris.size and self.tris.max(initial=-1) >= len(self.vertices):
+        if self.tris.size and not 0 <= self.tris.min() <= self.tris.max() < len(self.vertices):
             raise ShapeError("triangle index out of range")
 
 
@@ -111,6 +111,28 @@ def triangle_areas(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:
     ab = vertices[tris[:, 1]] - a
     ac = vertices[tris[:, 2]] - a
     return 0.5 * np.linalg.norm(np.cross(ab, ac), axis=1)
+
+
+def sample_triangles(mesh: TriMesh, count: int, rng: np.random.Generator):
+    """Uniform area-weighted surface points: (triangle index, points).
+
+    Draws the triangles, then the barycentric u, then v, from `rng`.
+    """
+    if len(mesh.tris) == 0:
+        raise EmptyMesh("cannot sample an empty mesh")
+    areas = triangle_areas(mesh.vertices, mesh.tris)
+    total = areas.sum()
+    if total <= 0:
+        raise EmptyMesh("mesh has zero total area")
+    faces = rng.choice(len(areas), size=count, p=areas / total)
+    u = rng.random(count)
+    v = rng.random(count)
+    flip = u + v > 1.0
+    u[flip] = 1.0 - u[flip]
+    v[flip] = 1.0 - v[flip]
+    tv = mesh.vertices[mesh.tris[faces]]
+    points = tv[:, 0] + u[:, None] * (tv[:, 1] - tv[:, 0]) + v[:, None] * (tv[:, 2] - tv[:, 0])
+    return faces, points
 
 
 def quad_areas(vertices: np.ndarray, quads: np.ndarray) -> np.ndarray:

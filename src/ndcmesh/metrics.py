@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .errors import EmptyMesh
 from .mesh import (EdgeTopologyStats, TriMesh, edge_topology_stats,
-                   triangle_areas)
+                   sample_triangles, triangle_areas)
 from .rng import derive_seed, rng_for
 
 F1_TAU_FACTOR = 0.003
@@ -44,22 +44,7 @@ class SampledSurface:
 
 def sample_surface(mesh: TriMesh, count: int, seed: int = 0) -> SampledSurface:
     """Uniform area-weighted samples with face normals."""
-    if len(mesh.tris) == 0:
-        raise EmptyMesh("cannot sample an empty mesh")
-    areas = triangle_areas(mesh.vertices, mesh.tris)
-    total = areas.sum()
-    if total <= 0:
-        raise EmptyMesh("mesh has zero total area")
-    rng = rng_for(seed, "surface-samples")
-    fi = rng.choice(len(areas), size=count, p=areas / total)
-    u = rng.random(count)
-    v = rng.random(count)
-    flip = u + v > 1.0
-    u[flip] = 1.0 - u[flip]
-    v[flip] = 1.0 - v[flip]
-    tv = mesh.vertices[mesh.tris[fi]]
-    points = tv[:, 0] + u[:, None] * (tv[:, 1] - tv[:, 0]) \
-        + v[:, None] * (tv[:, 2] - tv[:, 0])
+    fi, points = sample_triangles(mesh, count, rng_for(seed, "surface-samples"))
     fn = np.cross(mesh.vertices[mesh.tris[:, 1]] - mesh.vertices[mesh.tris[:, 0]],
                   mesh.vertices[mesh.tris[:, 2]] - mesh.vertices[mesh.tris[:, 0]])
     norms = np.linalg.norm(fn, axis=1, keepdims=True)

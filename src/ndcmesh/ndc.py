@@ -10,23 +10,11 @@ formulation applied to xor flags reproduces the signed one bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._dual import assemble_dual_mesh
 from .grids import EdgeField, SignGrid, VertexOffsetGrid, xor_flags
 from .mesh import QuadMesh
-
-
-@dataclass
-class PredictionFields:
-    """Per-grid predictions; signs or flags may be absent depending on
-    which network produced them."""
-
-    offsets: VertexOffsetGrid
-    signs: SignGrid | None = None
-    flags: EdgeField | None = None
 
 
 def ndc_extract(signs: SignGrid, offsets: VertexOffsetGrid) -> QuadMesh:

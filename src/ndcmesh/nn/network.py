@@ -22,7 +22,7 @@ from ..errors import InvalidKind, ShapeError
 from ..grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
                      VertexOffsetGrid)
 from ..rng import rng_for
-from .layers import Conv3d, LeakyReLU, Linear, ResBlockFC, Sequential, sigmoid
+from .layers import Conv3d, LeakyReLU, Sequential, sigmoid
 
 GRID_VARIANTS = {
     "sdf_v": ("sdf", "vertex", 3),

@@ -91,9 +91,6 @@ def transform_vertex_array(arr: np.ndarray, transform_id: int) -> np.ndarray:
     return _apply_spatial(arr, perm, flips)
 
 
-transform_cell_array = transform_vertex_array
-
-
 def transform_offsets(grid: VertexOffsetGrid, transform_id: int) -> VertexOffsetGrid:
     perm, flips, _ = spatial_parts(transform_id)
     arr = np.transpose(grid.offsets, perm + (3,))
@@ -162,6 +159,6 @@ def transform_masks(masks: MaskGrids, transform_id: int) -> MaskGrids:
     return MaskGrids(
         transformed_dims(masks.dims, transform_id),
         transform_vertex_array(masks.m_s, transform_id),
-        transform_cell_array(masks.m_v, transform_id),
+        transform_vertex_array(masks.m_v, transform_id),
         transform_edge_field(masks.m_f, transform_id),
     )

@@ -10,9 +10,10 @@ from ndcmesh.datagen import (BAND_WIDTH, augment_sample, build_masks,
                              occupancy_from_mesh, plane_sheet_mesh,
                              pseudo_gt_vertices, sample_csg_grid,
                              sample_point_cloud)
-from ndcmesh.errors import OpenMeshError
+from ndcmesh.errors import OpenMeshError, TooFewPoints
 from ndcmesh.grids import (GridDims, GridKind, ScalarGrid, SignGrid,
                            signs_from_scalar, xor_flags)
+from ndcmesh.mc import mc_extract
 from ndcmesh.mesh import TriMesh, triangle_areas
 from ndcmesh.rng import rng_for
 from ndcmesh.transforms import NUM_TRANSFORMS, inverse_transform_id
@@ -208,6 +209,45 @@ def test_sign_change_cells_are_a_subset_of_crossed_cells():
     assert ndc_mask.m_v.any()
 
 
+def test_ndc_cell_mask_matches_the_eight_corner_brute_force():
+    # reference: a cell is marked when its eight corner signs are not all
+    # equal
+    rng = rng_for(31, "ndc-mask")
+    for shape in ((2, 2, 2), (3, 5, 4), (9, 8, 7)):
+        dims = GridDims(*shape)
+        for density in (0.1, 0.5, 0.9):
+            inside = rng.random(shape) < density
+            corners = [inside[dx:dx + shape[0] - 1, dy:dy + shape[1] - 1, dz:dz + shape[2] - 1]
+                       for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+            want = ~(np.logical_and.reduce(corners) | ~np.logical_or.reduce(corners))
+            masks = build_masks(dims, "ndc", gt_signs=SignGrid(dims, inside))
+            assert np.array_equal(masks.m_v, want)
+
+
+def test_voxel_edge_mask_marks_edges_with_four_occupied_cells():
+    dims = GridDims(7, 8, 9)
+    occ = np.zeros(dims.vertex_shape)
+    occ[:-1, :-1, :-1] = rng_for(32, "occ-mask").random(dims.cell_shape) < 0.7
+    masks = build_masks(dims, "ndc", grid=ScalarGrid(dims, GridKind.OCC, occ),
+                        gt_signs=SignGrid(dims, np.zeros(dims.vertex_shape, dtype=bool)))
+    cells = occ[:-1, :-1, :-1] > 0.5
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        want = np.zeros(dims.edge_shape(a), dtype=bool)
+        for p in np.ndindex(*want.shape):
+            if 0 < p[b] < dims.vertex_shape[b] - 1 and 0 < p[c] < dims.vertex_shape[c] - 1:
+                around = []
+                for db in (-1, 0):
+                    for dc in (-1, 0):
+                        q = list(p)
+                        q[b] += db
+                        q[c] += dc
+                        around.append(cells[tuple(q)])
+                want[p] = all(around)
+        assert np.array_equal(masks.m_f.axis(a), want)
+        assert want.any()
+
+
 def test_uniform_outside_field_produces_empty_masks():
     dims = GridDims(9, 9, 9)
     vals = np.full(dims.vertex_shape, 5.0)
@@ -282,6 +322,29 @@ def test_open_sheet_rejects_sdf_but_allows_udf():
     assert udf.values[4, 4, 4] == pytest.approx(0.3, abs=1e-9)
 
 
+def test_parity_counts_a_ray_through_a_shared_triangle_side_once():
+    # every face of this cube is split along a diagonal that the lattice
+    # rays through (1, 1), (2, 2) and (3, 3) pass exactly
+    dims = GridDims(5, 5, 5)
+    grid = mesh_to_sdf_grid(cube_mesh((2.0, 2.0, 2.0), 1.5), dims)
+    lattice = np.stack(np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij"), axis=-1)
+    inside = np.abs(lattice - 2.0).max(axis=-1) < 1.5
+    assert np.array_equal(grid.values < 0, inside)
+
+
+def test_lattice_aligned_marching_cubes_mesh_gets_its_far_signs_right():
+    # marching cubes at 31^3, scaled into 16^3, leaves vertices at
+    # rational lattice positions, so some rays run through shared sides
+    scene = random_scene(5, 15.0)
+    mesh = mc_extract(sample_csg_grid(lambda p: 2.0 * scene(p / 2.0), GridDims(31, 31, 31)))
+    dims = GridDims(16, 16, 16)
+    grid = mesh_to_sdf_grid(TriMesh(mesh.vertices / 2.0, mesh.tris), dims)
+    lattice = np.stack(np.meshgrid(*[np.arange(16.0)] * 3, indexing="ij"), axis=-1)
+    field = scene(lattice)
+    far = np.abs(field) > 1.0
+    assert np.array_equal(grid.values[far] < 0, field[far] < 0)
+
+
 def test_occupancy_marks_cells_with_inside_centers():
     # generic pose: a cube aligned to exact lattice coordinates sends the
     # parity rays straight through face diagonals
@@ -323,6 +386,17 @@ def test_cloud_sampling_is_area_weighted():
     n0 = int((cloud[:, 0] + cloud[:, 1] <= 1.0 + 1e-9).sum())
     sigma = np.sqrt(10000 * p * (1 - p))
     assert abs(n0 - 10000 * p) < 3 * sigma
+
+
+def test_csg_cloud_covers_a_scene_larger_than_the_first_probe():
+    scene = random_scene(1, 255.0)
+    cloud = sample_point_cloud(scene, 512, seed=1)
+    assert np.abs(scene(cloud)).max() < 1e-6
+    # the largest x of the shape, located on a 1-cell lattice
+    ys = np.arange(0.0, 256.0)
+    x_max = next(x for x in ys[::-1] if (scene(np.stack(np.meshgrid(
+        [x], ys, ys, indexing="ij"), axis=-1)) < 0).any())
+    assert cloud[:, 0].max() > x_max - 4.0
 
 
 def test_csg_cloud_points_lie_on_the_surface():

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ndcmesh.errors import InvalidKind, ShapeError
+from ndcmesh.errors import InvalidKind, NonFiniteValues, ShapeError
 from ndcmesh.grids import (EdgeField, GridDims, GridKind, ScalarGrid,
                            SignGrid, VertexOffsetGrid, central_gradients,
                            edge_crossing_normals, edge_crossings_linear,
@@ -62,6 +62,16 @@ def test_kind_value_constraints():
     with pytest.raises(InvalidKind):
         ScalarGrid(dims, GridKind.OCC, 0.5 * np.ones(dims.vertex_shape))
     ScalarGrid(dims, GridKind.OCC, np.ones(dims.vertex_shape))
+
+
+def test_scalar_grids_reject_nan_and_inf():
+    dims = GridDims(2, 3, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = np.zeros(dims.vertex_shape)
+        vals[1, 2, 0] = bad
+        for kind in (GridKind.SDF, GridKind.UDF):
+            with pytest.raises(NonFiniteValues):
+                ScalarGrid(dims, kind, vals)
 
 
 # -- signs ------------------------------------------------------------------

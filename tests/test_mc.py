@@ -9,9 +9,50 @@ from ndcmesh.datagen import sample_csg_grid
 from ndcmesh.errors import InvalidKind
 from ndcmesh.grids import GridDims, GridKind, ScalarGrid
 from ndcmesh.mc import CORNER_OFFSETS, mc_extract
-from ndcmesh.mesh import edge_topology_stats, triangle_areas
+from ndcmesh.mc_tables import EDGE_CORNERS, TRI_TABLE
+from ndcmesh.mesh import TriMesh, edge_topology_stats, triangle_areas
 from ndcmesh.metrics import sample_surface
 from ndcmesh.rng import rng_for
+
+
+def reference_mc(grid: ScalarGrid, iso: float = 0.0) -> TriMesh:
+    """Cell-by-cell marching cubes with a dict of global edge keys.
+
+    Vertices are numbered as cells (x-fastest), then each cell's cut
+    edges in ascending order, first reach them.
+    """
+    v = grid.values - iso
+    m, n, k = v.shape
+    verts, tris, ids = [], [], {}
+    for ck in range(k - 1):
+        for cj in range(n - 1):
+            for ci in range(m - 1):
+                case = 0
+                for c, off in enumerate(CORNER_OFFSETS):
+                    if v[ci + off[0], cj + off[1], ck + off[2]] < 0:
+                        case |= 1 << c
+                row = TRI_TABLE[case]
+                local = {}
+                for e in sorted(set(int(x) for x in row if x >= 0)):
+                    o1, o2 = (CORNER_OFFSETS[c] for c in EDGE_CORNERS[e])
+                    axis = int(np.nonzero(o1 != o2)[0][0])
+                    lo = (ci, cj, ck) + np.minimum(o1, o2)
+                    key = (axis, *map(int, lo))
+                    if key not in ids:
+                        hi = lo.copy()
+                        hi[axis] += 1
+                        va, vb = v[tuple(lo)], v[tuple(hi)]
+                        pos = lo.astype(np.float64)
+                        pos[axis] += va / (va - vb)
+                        ids[key] = len(verts)
+                        verts.append(pos)
+                    local[e] = ids[key]
+                for s in range(0, 15, 3):
+                    if row[s] < 0:
+                        break
+                    tris.append((local[row[s]], local[row[s + 2]], local[row[s + 1]]))
+    return TriMesh(np.asarray(verts, dtype=np.float64).reshape(-1, 3),
+                   np.asarray(tris, dtype=np.int64).reshape(-1, 3))
 
 
 def padded_cell_grid(case: int) -> ScalarGrid:
@@ -67,6 +108,34 @@ def test_every_padded_corner_pattern_extracts_a_closed_manifold():
         stats = edge_topology_stats(mesh)
         assert stats.boundary == 0, case
         assert stats.manifold == stats.edge_count, case
+
+
+def test_triangle_table_uses_exactly_the_edges_each_case_cuts():
+    for case in range(256):
+        used = {int(e) for e in TRI_TABLE[case] if e >= 0}
+        cut = {e for e, (c1, c2) in enumerate(EDGE_CORNERS)
+               if ((case >> c1) & 1) != ((case >> c2) & 1)}
+        assert used == cut, case
+
+
+def test_extraction_matches_the_cell_by_cell_reference():
+    rng = rng_for(12, "mc-reference")
+    # single cells, then larger random grids
+    fields = [rng.normal(size=(2, 2, 2)) for _ in range(20)]
+    fields += [rng.normal(size=shape) for shape in ((5, 6, 7), (9, 4, 3), (2, 6, 5))]
+    # exact zeros at lattice points count as outside
+    fields += [rng.integers(-1, 2, size=(6, 5, 7)).astype(np.float64) for _ in range(3)]
+    # all inside, all outside, all at the iso level
+    fields += [np.full((4, 5, 3), -1.0), np.full((4, 5, 3), 1.0), np.zeros((3, 3, 3))]
+    sphere = Sphere(np.full(3, 5.0), 3.7)
+    fields.append(sample_csg_grid(sphere, GridDims(11, 11, 11)).values)
+    for vals in fields:
+        grid = ScalarGrid(GridDims(*vals.shape), GridKind.SDF, vals)
+        got, want = mc_extract(grid), reference_mc(grid)
+        assert got.vertices.dtype == want.vertices.dtype
+        assert got.tris.dtype == want.tris.dtype
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.tris, want.tris)
 
 
 def test_vertices_sit_on_linear_edge_crossings():

@@ -32,6 +32,15 @@ def test_out_of_range_indices_are_rejected():
         QuadMesh(verts, np.array([[0, 1, 2, 3]]))
 
 
+def test_negative_indices_are_rejected():
+    # numpy would wrap -1 to the last vertex
+    verts = np.zeros((4, 3))
+    with pytest.raises(ShapeError):
+        TriMesh(verts, np.array([[0, 1, -1]]))
+    with pytest.raises(ShapeError):
+        QuadMesh(verts, np.array([[0, 1, 2, -4]]))
+
+
 def test_single_quad_has_four_boundary_edges():
     stats = edge_topology_stats(single_quad())
     assert stats.edge_count == 4

@@ -26,7 +26,7 @@ def normal_equations_oracle(points, normals, bounds=None):
     emax = evals.max()
     # eigenvalues of A^T A are squared singular values of A
     keep = evals >= (TRUNCATION_RATIO ** 2) * emax
-    inv = np.where(keep & (evals > 0), np.divide(1.0, evals, where=evals > 0), 0.0)
+    inv = np.where(keep & (evals > 0), np.divide(1.0, evals, out=np.zeros_like(evals), where=evals > 0), 0.0)
     x = mass + evecs @ (inv * (evecs.T @ atb))
     if bounds is not None:
         x = np.clip(x, bounds[0], bounds[1])
@@ -91,7 +91,7 @@ def test_never_worse_than_the_clipped_mass_point():
         n = int(rng.integers(1, 7))
         normals = rng.normal(size=(n, 3))
         norms = np.linalg.norm(normals, axis=1, keepdims=True)
-        normals = np.divide(normals, norms, where=norms > 0)
+        normals = np.divide(normals, norms, out=np.zeros_like(normals), where=norms > 0)
         points = rng.uniform(-0.5, 1.5, size=(n, 3))
         cons = list(zip(points, normals))
         x = qef_solve(cons)
