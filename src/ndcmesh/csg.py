@@ -94,11 +94,6 @@ class Subtract(CsgShape):
         return np.maximum(self.a.evaluate(p), -self.b.evaluate(p))
 
 
-def csg_sdf_eval(shape: CsgShape, points: np.ndarray) -> np.ndarray:
-    """Evaluate a CSG tree at arbitrary points."""
-    return shape(points)
-
-
 def csg_gradient(shape: CsgShape, points: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Central-difference field gradient, one column per axis."""
     p = np.asarray(points, dtype=np.float64)

@@ -25,6 +25,7 @@ from .grids import (
     ScalarGrid,
     SignGrid,
     VertexOffsetGrid,
+    cells_to_edge_field,
     edge_ends,
     signs_from_scalar,
     unit_normals,
@@ -106,28 +107,30 @@ def _csg_edge_data(shape: CsgShape, dims: GridDims, iters: int = 30):
     return flags, tvals, normals
 
 
-def _half_open_hits(corners: np.ndarray, det: float, q: np.ndarray, hit: np.ndarray) -> np.ndarray:
+def _half_open_hits(corners: np.ndarray, det: np.ndarray, q: np.ndarray, hit: np.ndarray) -> np.ndarray:
     """Re-decide the lattice lines within SIDE_TOL of a triangle side.
 
-    Such a line counts as if moved by an infinitesimal step along +b,
-    then +c, so a line through a side shared by two triangles, or
-    through a vertex shared by a fan, hits exactly one of them. Each
-    side's edge function is computed from its endpoints in lexicographic
-    order, so triangles sharing the side compute it bit for bit alike.
+    Row i tests point q[i] against the projected triangle corners[i]
+    (3, 2) with determinant det[i]. Such a line counts as if moved by an
+    infinitesimal step along +b, then +c, so a line through a side shared
+    by two triangles, or through a vertex shared by a fan, hits exactly
+    one of them. Each side's edge function is computed from its endpoints
+    in lexicographic order, so triangles sharing the side compute it bit
+    for bit alike.
     """
     near = np.zeros(len(q), dtype=bool)
     inside = np.ones(len(q), dtype=bool)
     for i in range(3):
-        p, r = corners[i], corners[(i + 1) % 3]
-        swap = tuple(r) < tuple(p)
-        if swap:
-            p, r = r, p
+        p, r = corners[:, i], corners[:, (i + 1) % 3]
+        swap = (r[:, 0] < p[:, 0]) | ((r[:, 0] == p[:, 0]) & (r[:, 1] < p[:, 1]))
+        p, r = np.where(swap[:, None], r, p), np.where(swap[:, None], p, r)
         d = r - p
-        e = d[0] * (q[:, 1] - p[1]) - d[1] * (q[:, 0] - p[0])
-        on = np.abs(e) <= SIDE_TOL * np.hypot(d[0], d[1])
+        e = d[:, 0] * (q[:, 1] - p[:, 1]) - d[:, 1] * (q[:, 0] - p[:, 0])
+        on = np.abs(e) <= SIDE_TOL * np.hypot(d[:, 0], d[:, 1])
         # sign of e after the step: cross(d, +b) = -d[1], else cross(d, +c) = d[0]
-        side = np.where(on, np.sign(-d[1] if d[1] != 0 else d[0]), np.sign(e))
-        inside &= (-side if swap else side) == np.sign(det)
+        step = np.where(d[:, 1] != 0, -d[:, 1], d[:, 0])
+        side = np.where(on, np.sign(step), np.sign(e))
+        inside &= np.where(swap, -side, side) == np.sign(det)
         near |= on
     return np.where(near, inside, hit)
 
@@ -135,62 +138,50 @@ def _half_open_hits(corners: np.ndarray, det: float, q: np.ndarray, hit: np.ndar
 def _triangle_columns(mesh: TriMesh, axis: int, half_open: bool = False):
     """Intersections of every lattice line along `axis` with the mesh.
 
-    Yields (b_index, c_index, u, normal) arrays where (b, c) are the two
+    Returns (b_index, c_index, u, normal) arrays where (b, c) are the two
     other axes in cyclic order and u is the intersection coordinate along
-    `axis`. Triangles parallel to the axis are skipped. Triangles are
-    closed, so a line through a shared side hits both triangles, unless
-    `half_open` gives each such line to one of them (`_half_open_hits`).
+    `axis`, triangle by triangle and, within one, b-major over the
+    lattice lines of its bounding box. Triangles parallel to the axis are
+    skipped. Triangles are closed, so a line through a shared side hits
+    both triangles, unless `half_open` gives each such line to one of
+    them (`_half_open_hits`).
     """
     b, c = (axis + 1) % 3, (axis + 2) % 3
-    v = mesh.vertices
-    tris = mesh.tris
-    outs = []
-    for t in range(len(tris)):
-        pa, pb, pc = v[tris[t, 0]], v[tris[t, 1]], v[tris[t, 2]]
-        # project onto the (b, c) plane
-        a2 = np.array([pa[b], pa[c]])
-        b2 = np.array([pb[b], pb[c]])
-        c2 = np.array([pc[b], pc[c]])
-        det = (b2[0] - a2[0]) * (c2[1] - a2[1]) - (c2[0] - a2[0]) * (b2[1] - a2[1])
-        if abs(det) < 1e-14:
-            continue
-        lob = int(np.ceil(min(a2[0], b2[0], c2[0]) - SIDE_TOL))
-        hib = int(np.floor(max(a2[0], b2[0], c2[0]) + SIDE_TOL))
-        loc = int(np.ceil(min(a2[1], b2[1], c2[1]) - SIDE_TOL))
-        hic = int(np.floor(max(a2[1], b2[1], c2[1]) + SIDE_TOL))
-        if lob > hib or loc > hic:
-            continue
-        bb, cc = np.meshgrid(np.arange(lob, hib + 1), np.arange(loc, hic + 1), indexing="ij")
-        bb = bb.ravel()
-        cc = cc.ravel()
-        px = bb - a2[0]
-        py = cc - a2[1]
-        w1 = ((c2[1] - a2[1]) * px - (c2[0] - a2[0]) * py) / det
-        w2 = (-(b2[1] - a2[1]) * px + (b2[0] - a2[0]) * py) / det
-        least = np.minimum(np.minimum(w1, w2), 1 - (w1 + w2))
-        hit = least >= 0
-        if half_open:
-            # each weight is a side's edge function over det; within SIDE_TOL
-            # of a side, that is at most SIDE_TOL * (side length) / |det|
-            close = np.abs(least) <= 4 * SIDE_TOL * (max(hib - lob, hic - loc) + 2) / abs(det)
-            if np.any(close):
-                hit[close] = _half_open_hits(np.array([a2, b2, c2]), det,
-                                             np.stack([bb[close], cc[close]], axis=1), hit[close])
-        if not np.any(hit):
-            continue
-        u = pa[axis] + w1[hit] * (pb[axis] - pa[axis]) + w2[hit] * (pc[axis] - pa[axis])
-        n = np.cross(pb - pa, pc - pa)
-        nn = np.linalg.norm(n)
-        n = n / nn if nn > 0 else np.array([1.0, 0.0, 0.0])
-        outs.append((bb[hit], cc[hit], u, np.repeat(n[None], np.count_nonzero(hit), axis=0)))
-    if not outs:
-        empty = np.empty(0)
-        return empty.astype(int), empty.astype(int), empty, np.empty((0, 3))
-    bs = np.concatenate([o[0] for o in outs])
-    cs = np.concatenate([o[1] for o in outs])
-    us = np.concatenate([o[2] for o in outs])
-    ns = np.concatenate([o[3] for o in outs])
-    return bs, cs, us, ns
+    tv = mesh.vertices[mesh.tris]
+    d = tv[:, 1:] - tv[:, :1]  # the sides from the first corner
+    det = d[:, 0, b] * d[:, 1, c] - d[:, 1, b] * d[:, 0, c]
+    keep = np.abs(det) >= 1e-14
+    tv, d, det = tv[keep], d[keep], det[keep]
+    corners = tv[:, :, [b, c]]  # projected onto the (b, c) plane
+    lo = np.ceil(corners.min(axis=1) - SIDE_TOL).astype(np.int64)
+    hi = np.floor(corners.max(axis=1) + SIDE_TOL).astype(np.int64)
+    # each triangle's lattice lines, b-major within its box
+    size = np.maximum(hi - lo + 1, 0)
+    count = size[:, 0] * size[:, 1]
+    tri = np.repeat(np.arange(len(det)), count)
+    k = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
+    bb = lo[tri, 0] + k // size[tri, 1]
+    cc = lo[tri, 1] + k % size[tri, 1]
+    px = bb - corners[tri, 0, 0]
+    py = cc - corners[tri, 0, 1]
+    w1 = (d[tri, 1, c] * px - d[tri, 1, b] * py) / det[tri]
+    w2 = (-d[tri, 0, c] * px + d[tri, 0, b] * py) / det[tri]
+    least = np.minimum(np.minimum(w1, w2), 1 - (w1 + w2))
+    hit = least >= 0
+    if half_open:
+        # each weight is a side's edge function over det; within SIDE_TOL
+        # of a side, that is at most SIDE_TOL * (side length) / |det|
+        tol = 4 * SIDE_TOL * (np.max(hi - lo, axis=1) + 2) / np.abs(det)
+        close = np.flatnonzero(np.abs(least) <= tol[tri])
+        hit[close] = _half_open_hits(corners[tri[close]], det[tri[close]],
+                                     np.stack([bb[close], cc[close]], axis=1), hit[close])
+    tri, w1, w2 = tri[hit], w1[hit], w2[hit]
+    u = tv[tri, 0, axis] + w1 * d[tri, 0, axis] + w2 * d[tri, 1, axis]
+    # the normal's component along `axis` is det, so it never vanishes;
+    # the stacked matmul rounds the length like the one-vector norm
+    n = np.cross(d[:, 0], d[:, 1])
+    n = n / np.sqrt(n[:, None, :] @ n[:, :, None])[:, 0]
+    return bb[hit], cc[hit], u, n[tri]
 
 
 def _mesh_parity_inside(mesh: TriMesh, dims: GridDims) -> np.ndarray:
@@ -264,10 +255,7 @@ def gt_edge_data(source: CsgShape | TriMesh, dims: GridDims):
     if isinstance(source, CsgShape):
         return _csg_edge_data(source, dims)
     if isinstance(source, TriMesh):
-        stats = edge_topology_stats(source)
-        inside = None
-        if stats.edge_count and stats.boundary == 0 and stats.nonmanifold3 == 0 and stats.nonmanifold4 == 0:
-            inside = _mesh_parity_inside(source, dims)
+        inside = _mesh_parity_inside(source, dims) if edge_topology_stats(source).closed else None
         return _mesh_edge_data(source, dims, inside)
     raise InvalidKind(f"unsupported ground-truth source: {type(source).__name__}")
 
@@ -285,8 +273,7 @@ def mesh_to_sdf_grid(mesh: TriMesh, dims: GridDims, kind: GridKind = GridKind.SD
     dist = _unsigned_distance(mesh, dims)
     if kind == GridKind.UDF:
         return ScalarGrid(dims, kind, dist)
-    stats = edge_topology_stats(mesh)
-    if stats.boundary or stats.nonmanifold3 or stats.nonmanifold4:
+    if not edge_topology_stats(mesh).closed:
         raise OpenMeshError("signed distance needs a watertight mesh")
     inside = _mesh_parity_inside(mesh, dims)
     vals = np.where(inside, -dist, dist)
@@ -295,8 +282,7 @@ def mesh_to_sdf_grid(mesh: TriMesh, dims: GridDims, kind: GridKind = GridKind.SD
 
 def occupancy_from_mesh(mesh: TriMesh, dims: GridDims) -> ScalarGrid:
     """Cell-center-inside occupancy, stored min-corner anchored."""
-    stats = edge_topology_stats(mesh)
-    if stats.boundary or stats.nonmanifold3 or stats.nonmanifold4:
+    if not edge_topology_stats(mesh).closed:
         raise OpenMeshError("occupancy needs a watertight mesh")
     cdims = GridDims(dims.m - 1, dims.n - 1, dims.k - 1)
     # parity at cell centers: reuse the vertex machinery on a shifted mesh
@@ -384,17 +370,6 @@ def cloud_active_cells(cloud: np.ndarray, dims: GridDims, reach: int = ACTIVE_MA
     return occ
 
 
-def _edges_owned_by_cells(cellmask: np.ndarray, dims: GridDims) -> EdgeField:
-    """Edge (a, p) marked when cell p is marked; edges with no owning
-    cell (far boundary slices) stay false."""
-    out = EdgeField.full(dims, False, bool)
-    cm, cn, ck = dims.cell_shape
-    out.x[:, :cn, :ck] = cellmask
-    out.y[:cm, :, :ck] = cellmask
-    out.z[:cm, :cn, :] = cellmask
-    return out
-
-
 def build_masks(
     dims: GridDims,
     mode: str,
@@ -427,7 +402,7 @@ def build_masks(
 
     if cloud is not None:
         active = cloud_active_cells(cloud, dims)
-        m_f = _edges_owned_by_cells(active, dims)
+        m_f = cells_to_edge_field(np.broadcast_to(active, (3,) + active.shape), dims)
     elif grid is not None and grid.kind in (GridKind.SDF, GridKind.UDF):
         band = np.abs(grid.values) < BAND_WIDTH
         m_s = band
@@ -572,9 +547,7 @@ def make_training_sample(
         else:
             grid = sample_csg_grid(source, dims, GridKind.OCC)
     else:
-        stats = edge_topology_stats(source)
-        watertight = stats.edge_count > 0 and stats.boundary == 0 and stats.nonmanifold3 == 0 and stats.nonmanifold4 == 0
-        if watertight:
+        if edge_topology_stats(source).closed:
             gt_signs = SignGrid(dims, _mesh_parity_inside(source, dims))
         else:
             gt_signs = SignGrid(dims, np.zeros(dims.vertex_shape, dtype=bool))

@@ -17,7 +17,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from ._dual import assemble_dual_mesh, cell_edges, edge_ring
+from ._dual import active_cell_mask, assemble_dual_mesh, cell_edges, edge_ring
 from .grids import (
     EdgeField,
     ScalarGrid,
@@ -47,6 +47,13 @@ CELL_MARGIN = 1.0
 # tangent planes of a curved surface disagree at the 1e-2 scale, so the
 # threshold cleanly separates the two.
 FEATURE_TOL = 1e-6
+
+# Deficient rows per neighborhood solve: 128 rows keep each (rows, 324, 3)
+# float64 temporary at 1 MB, whatever the surface area.
+RESOLVE_BLOCK = 128
+
+# The 27 cell shifts of a 3x3x3 neighborhood, in C order.
+NEIGHBOR_SHIFTS = np.stack(np.meshgrid(*[(-1, 0, 1)] * 3, indexing="ij"), axis=-1).reshape(27, 3)
 
 
 def _projected_edge_anchors(
@@ -89,24 +96,23 @@ def _projected_edge_anchors(
 def _cell_constraints(
     crossings: EdgeField, normals: EdgeField, anchors: EdgeField | None = None
 ):
-    """Stack each cell's 12 edge slots into batched constraint arrays.
+    """Stack the 12 edge slots of each cell that has a crossing edge.
 
-    Returns (valid, points, nvec) shaped (cells..., 12[, 3]) with points
-    in cell-local coordinates. Points come from the crossing parameter on
-    the edge, or from `anchors` (absolute positions, e.g. surface
-    projections that may lie off the edge) when given. Slots run by edge
-    axis, then by the edge's offset along the lower-numbered other axis,
-    then the higher one; the QEF sums rows in this order.
+    Returns the constraint table (cells, valid, points, nvec), shaped
+    (C, 3), (C, 12), (C, 12, 3) and (C, 12, 3), with the cells in C order
+    and points in cell-local coordinates. Points come from the crossing
+    parameter on the edge, or from `anchors` (absolute positions, e.g.
+    surface projections that may lie off the edge) when given. Slots run
+    by edge axis, then by the edge's offset along the lower-numbered
+    other axis, then the higher one; the QEF sums rows in this order.
     """
-    dims = crossings.dims
-    shape = dims.cell_shape
-    valid = np.zeros(shape + (12,), dtype=bool)
-    pts = np.zeros(shape + (12, 3), dtype=np.float64)
-    nrm = np.zeros(shape + (12, 3), dtype=np.float64)
-    origin = np.stack(
-        np.meshgrid(*(np.arange(s, dtype=np.float64) for s in shape), indexing="ij"),
-        axis=-1,
-    )
+    shape = crossings.dims.cell_shape
+    crossed = EdgeField(crossings.dims, *(~np.isnan(t) for t in crossings.axes))
+    cells = np.argwhere(active_cell_mask(crossed))
+    at = tuple(cells.T)
+    valid = np.empty((len(cells), 12), dtype=bool)
+    pts = np.empty((len(cells), 12, 3))
+    nrm = np.empty((len(cells), 12, 3))
     fields = (crossings, normals) if anchors is None else (crossings, normals, anchors)
     for axis in range(3):
         views = [cell_edges(f.axis(axis), axis, shape) for f in fields]
@@ -114,15 +120,15 @@ def _cell_constraints(
         # the offsets sort lexicographically into the slot order
         for k, s in enumerate(sorted(range(4), key=lambda s: tuple(offsets[s]))):
             slot = 4 * axis + k
-            tt = views[0][s]
-            valid[..., slot] = ~np.isnan(tt)
+            tt = views[0][s][at]
+            valid[:, slot] = ~np.isnan(tt)
             if anchors is None:
-                pts[..., slot, :] = offsets[s]
-                pts[..., slot, axis] = np.nan_to_num(tt)
+                pts[:, slot] = offsets[s]
+                pts[:, slot, axis] = np.nan_to_num(tt)
             else:
-                pts[..., slot, :] = np.nan_to_num(views[2][s]) - origin
-            nrm[..., slot, :] = np.nan_to_num(views[1][s])
-    return valid, pts, nrm
+                pts[:, slot] = np.nan_to_num(views[2][s][at]) - cells
+            nrm[:, slot] = np.nan_to_num(views[1][s][at])
+    return cells, valid, pts, nrm
 
 
 def qef_cell_offsets(
@@ -133,58 +139,54 @@ def qef_cell_offsets(
 ):
     """One QEF solve per cell that has a crossing edge.
 
-    Returns (offsets, constraints): cell-local vertex offsets clamped to
-    bounds, (0.5, 0.5, 0.5) for cells without crossings, and the
-    (valid, points, normals) arrays of `_cell_constraints`.
+    Returns (offsets, table): cell-local vertex offsets clamped to bounds,
+    (0.5, 0.5, 0.5) for cells without crossings, and the constraint
+    table of `_cell_constraints`, whose rows the offsets solve.
     """
-    valid, pts, nrm = _cell_constraints(crossings, normals, anchors)
-    active = valid.any(axis=-1)
+    table = cells, valid, pts, nrm = _cell_constraints(crossings, normals, anchors)
     offsets = np.full(crossings.dims.cell_shape + (3,), 0.5)
-    if np.any(active):
-        offsets[active] = qef_solve_batch(pts[active], nrm[active], valid[active], bounds)
-    return offsets, (valid, pts, nrm)
+    offsets[tuple(cells.T)] = qef_solve_batch(pts, nrm, valid, bounds)
+    return offsets, table
 
 
-def _gather_neighborhood(cells: np.ndarray, valid, pts, nrm):
-    """Stack constraints from each cell's 3x3x3 cell neighborhood.
+def _neighbor_rows(rows: np.ndarray, cells: np.ndarray, cell_shape) -> np.ndarray:
+    """Table rows of the 3x3x3 cell neighborhood of table rows, shaped
+    (len(rows), 27); the one-past-the-end row stands for a cell without
+    constraints, in the grid or outside it."""
+    # cell -> table row over the grid padded by one cell
+    row_of = np.full(np.add(cell_shape, 2), len(cells))
+    row_of[tuple(cells.T + 1)] = np.arange(len(cells))
+    return row_of[tuple(np.moveaxis(cells[rows, None] + 1 + NEIGHBOR_SHIFTS, -1, 0))]
+
+
+def _gather_neighborhood(nb: np.ndarray, table):
+    """Stack the constraints of the neighbor rows `nb` of _neighbor_rows.
 
     Points are shifted into the center cell's local frame; out-of-grid
     neighbors and empty slots contribute zero normals, which drop out of
-    any residual. Returns (normals, points) shaped (len(cells), 324, 3).
+    any residual. Returns (normals, points) shaped (len(nb), 324, 3).
     """
-    shape = valid.shape[:3]
-    count = len(cells)
-    pp = np.zeros((count, 27 * 12, 3))
-    nn = np.zeros((count, 27 * 12, 3))
-    block = 0
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                shift = np.array((dx, dy, dz), dtype=np.float64)
-                nb = cells + shift.astype(np.int64)
-                ok = np.all((nb >= 0) & (nb < shape), axis=1)
-                idx = tuple(nb[ok].T)
-                sl = slice(block * 12, (block + 1) * 12)
-                keep = valid[idx]
-                pp[ok, sl] = np.where(keep[..., None], pts[idx] + shift, 0.0)
-                nn[ok, sl] = np.where(keep[..., None], nrm[idx], 0.0)
-                block += 1
-    return nn, pp
+    _, valid, pts, nrm = table
+    keep = np.append(valid, np.zeros((1, 12), dtype=bool), axis=0)[nb][..., None]
+    # clipping sends the end row to a real one, which `keep` then masks
+    pp = np.where(keep, pts.take(nb, axis=0, mode="clip") + NEIGHBOR_SHIFTS[:, None, :], 0.0)
+    nn = np.where(keep, nrm.take(nb, axis=0, mode="clip"), 0.0)
+    return nn.reshape(len(nb), 324, 3), pp.reshape(len(nb), 324, 3)
 
 
-def _nullspace_resolve(cells, x0, null_basis, valid, pts, nrm):
+def _nullspace_resolve(x0, null_basis, a, p):
     """Slide under-determined QEF answers along their free directions.
 
     Each cell's own solve already fixed the constrained directions; here
     the leftover null directions (rows of null_basis, zero rows for the
-    constrained ones) are resolved against planes gathered from the 3x3x3
-    neighborhood. Where the neighborhood adds no information along a free
-    direction the slide stays at zero, so flats keep the mass-point
-    answer untouched. Returns the slid positions together with the mean
-    squared plane residual at each, which tells a genuine sharp feature
-    (residual at float noise) from curvature misfit.
+    constrained ones) are resolved against the planes (normals `a`, points
+    `p`) gathered from the 3x3x3 neighborhood of each cell. Where the
+    neighborhood adds no information along a free direction the slide
+    stays at zero, so flats keep the mass-point answer untouched. Returns
+    the slid positions together with the mean squared plane residual at
+    each, which tells a genuine sharp feature (residual at float noise)
+    from curvature misfit.
     """
-    a, p = _gather_neighborhood(cells, valid, pts, nrm)
     r = np.einsum("bnd,bnd->bn", a, p - x0[:, None, :])
     m = np.einsum("bnd,bqd->bnq", a, null_basis)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
@@ -195,8 +197,8 @@ def _nullspace_resolve(cells, x0, null_basis, valid, pts, nrm):
     x = np.clip(x0 + np.einsum("bq,bqd->bd", y, null_basis),
                 -CELL_MARGIN, 1.0 + CELL_MARGIN)
     res = np.einsum("bnd,bnd->bn", a, x[:, None, :] - p)
-    rows = np.maximum((np.abs(a).sum(axis=-1) > 0).sum(axis=-1), 1)
-    return x, np.sum(res * res, axis=-1) / rows
+    planes = np.maximum((np.abs(a).sum(axis=-1) > 0).sum(axis=-1), 1)
+    return x, np.sum(res * res, axis=-1) / planes
 
 
 def _dc_solve(
@@ -225,22 +227,22 @@ def _dc_solve(
             grid, crossings, normal_source, iso)
 
     bounds = (np.full(3, -CELL_MARGIN), np.full(3, 1.0 + CELL_MARGIN))
-    offsets, (valid, pts, nrm) = qef_cell_offsets(crossings, normals, anchors, bounds)
-    active = valid.any(axis=-1)
-    if anchors is not None and np.any(active):
-        sol = offsets[active]
-        rows = nrm[active] * valid[active][..., None]
-        _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    offsets, table = qef_cell_offsets(crossings, normals, anchors, bounds)
+    if anchors is not None:
+        cells, valid, _, nrm = table
+        sol = offsets[tuple(cells.T)]
+        _, s, vt = np.linalg.svd(nrm * valid[..., None], full_matrices=False)
         kept = s >= TRUNCATION_RATIO * s[:, :1]
-        deficient = ~kept[:, 2]
-        if np.any(deficient):
-            cells = np.argwhere(active)[deficient]
-            basis = np.where(~kept[deficient][:, :, None], vt[deficient], 0.0)
+        deficient = np.flatnonzero(~kept[:, 2])
+        nb = _neighbor_rows(deficient, cells, grid.dims.cell_shape)
+        # every row's arithmetic is its own, so blocking changes no result
+        for lo in range(0, len(deficient), RESOLVE_BLOCK):
+            rows = deficient[lo:lo + RESOLVE_BLOCK]
+            basis = np.where(~kept[rows][:, :, None], vt[rows], 0.0)
             x_aug, misfit = _nullspace_resolve(
-                cells, sol[deficient], basis, valid, pts, nrm)
-            at = tuple(cells.T)
+                sol[rows], basis, *_gather_neighborhood(nb[lo:lo + RESOLVE_BLOCK], table))
             feature = misfit <= FEATURE_TOL * FEATURE_TOL
-            offsets[at] = np.where(feature[:, None], x_aug, sol[deficient])
+            offsets[tuple(cells[rows].T)] = np.where(feature[:, None], x_aug, sol[rows])
     return signs, offsets
 
 

@@ -429,20 +429,6 @@ def read_report(path) -> dict:
     return out
 
 
-def write_csv(path, rows: list, fieldnames: list | None = None) -> None:
-    import csv
-    if not rows:
-        raise ValueError("no rows to write")
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (f"{v:.9g}" if isinstance(v, float) else v)
-                             for k, v in row.items()})
-
-
 def write_xyz(path, points: np.ndarray) -> None:
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     with open(path, "w") as fh:

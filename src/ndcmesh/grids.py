@@ -206,6 +206,34 @@ def xor_flags(signs: SignGrid) -> EdgeField:
     return EdgeField(signs.dims, *(np.not_equal(*edge_ends(signs.inside, a)) for a in range(3)))
 
 
+def _cell_owned_edges(dims: GridDims, axis: int) -> tuple[slice, slice, slice]:
+    """Index of the edges along `axis` that start at some cell's min corner."""
+    sl = [slice(0, s) for s in dims.cell_shape]
+    sl[axis] = slice(None)
+    return tuple(sl)
+
+
+def edge_field_to_cells(field: EdgeField) -> np.ndarray:
+    """Gather the cell-owned edges of a field into a (3, cells) array."""
+    return np.stack([np.asarray(field.axis(a))[_cell_owned_edges(field.dims, a)] for a in range(3)])
+
+
+def cells_to_edge_field(values: np.ndarray, dims: GridDims) -> EdgeField:
+    """Scatter (3, cells) per-cell edge values back to a full field.
+
+    Border edges owned by no cell are zero (false).
+    """
+    if values.shape != (3,) + dims.cell_shape:
+        raise ShapeError(
+            f"cell edge array must be (3,)+{dims.cell_shape}, got {values.shape}")
+    parts = []
+    for a in range(3):
+        arr = np.zeros(dims.edge_shape(a), dtype=values.dtype)
+        arr[_cell_owned_edges(dims, a)] = values[a]
+        parts.append(arr)
+    return EdgeField(dims, *parts)
+
+
 def edge_crossings_linear(grid: ScalarGrid, iso: float = 0.0) -> EdgeField:
     """Linear crossing parameter per sign-change edge, NaN elsewhere.
 

@@ -22,10 +22,6 @@ class QuadMesh:
         if self.quads.size and not 0 <= self.quads.min() <= self.quads.max() < len(self.vertices):
             raise ShapeError("quad index out of range")
 
-    @property
-    def face_vertex_counts(self) -> int:
-        return 4
-
 
 @dataclass
 class TriMesh:
@@ -48,6 +44,11 @@ class EdgeTopologyStats:
     manifold: int  # exactly 2
     nonmanifold3: int  # exactly 3
     nonmanifold4: int  # 4 or more
+
+    @property
+    def closed(self) -> bool:
+        """No boundary and no non-manifold edge; an empty mesh is closed."""
+        return self.boundary == 0 and self.nonmanifold3 == 0 and self.nonmanifold4 == 0
 
     @property
     def fractions(self) -> dict[str, float]:

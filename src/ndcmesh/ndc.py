@@ -32,7 +32,9 @@ def _face_counts(flags: EdgeField) -> list[np.ndarray]:
 
     The mesh edge between cells adjacent along axis d (indexed by the
     lower cell) collects one face per flagged grid edge of their shared
-    cell face.
+    cell face. A flag on the grid's boundary plane counts although it
+    makes no quad: it stands for the face beyond the border, so a
+    surface cut by the grid border does not read as a hole there.
     """
     dims = flags.dims
     cells = dims.cell_shape
@@ -56,8 +58,9 @@ def close_holes(flags: EdgeField, max_passes: int = 3) -> EdgeField:
     """Flip false interior flags whose quad would mend a hole.
 
     A candidate is flipped when at least 3 of its quad's 4 mesh edges are
-    currently boundary (exactly one incident face), so adding the quad
-    converts them to interior. Each pass evaluates every candidate
+    currently boundary (exactly one incident face, where flags on the
+    grid's boundary planes count as faces; see `_face_counts`), so adding
+    the quad converts them to interior. Each pass evaluates every candidate
     against the same snapshot, then applies all flips at once; passes
     repeat to a fixpoint, bounded by max_passes. Flags whose quad would
     fall outside the cell lattice are never touched.

@@ -1,11 +1,11 @@
 """Trainable networks: layers, losses, optimizer, encoders, training."""
 
+from ..grids import cells_to_edge_field, edge_field_to_cells
 from .adam import Adam
 from .layers import (LEAKY_SLOPE, Conv3d, LeakyReLU, Linear, MaxPoolAxis,
                      Param, ResBlockFC, Sequential, Sigmoid, sigmoid)
 from .losses import BCE_EPS, masked_bce_loss, masked_mse_loss
-from .network import (GRID_VARIANTS, GridNetwork, cells_to_edge_field,
-                      edge_field_to_cells, make_network)
+from .network import GRID_VARIANTS, GridNetwork, make_network
 from .pointnet import K_NEIGHBORS, PointNetwork, knn_indices
 from .train import TrainConfig, train_network, train_step
 

@@ -18,9 +18,9 @@ Head conventions on a (m, n, k) vertex lattice:
 
 import numpy as np
 
-from ..errors import InvalidKind, ShapeError
-from ..grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
-                     VertexOffsetGrid)
+from ..errors import InvalidKind
+from ..grids import (GridKind, ScalarGrid, SignGrid, VertexOffsetGrid,
+                     cells_to_edge_field)
 from ..rng import rng_for
 from .layers import Conv3d, LeakyReLU, Sequential, sigmoid
 
@@ -33,36 +33,6 @@ GRID_VARIANTS = {
     "vox_f": ("occ", "flag", 7),
 }
 HEAD_CHANNELS = {"sign": 1, "vertex": 3, "flag": 3}
-
-
-def edge_field_to_cells(field: EdgeField) -> np.ndarray:
-    """Gather the cell-owned edges of a field into a (3, cells) array."""
-    m, n, k = field.dims.vertex_shape
-    return np.stack([
-        np.asarray(field.axis(0))[:, : n - 1, : k - 1],
-        np.asarray(field.axis(1))[: m - 1, :, : k - 1],
-        np.asarray(field.axis(2))[: m - 1, : n - 1, :],
-    ])
-
-
-def cells_to_edge_field(values: np.ndarray, dims: GridDims,
-                        fill=False) -> EdgeField:
-    """Scatter per-cell edge values back to a full field.
-
-    Border edges owned by no cell take `fill`.
-    """
-    m, n, k = dims.vertex_shape
-    if values.shape != (3,) + dims.cell_shape:
-        raise ShapeError(
-            f"cell edge array must be (3,)+{dims.cell_shape}, got {values.shape}")
-    parts = []
-    for a in range(3):
-        arr = np.full(dims.edge_shape(a), fill, dtype=values.dtype)
-        sl = [slice(0, m - 1), slice(0, n - 1), slice(0, k - 1)]
-        sl[a] = slice(None)
-        arr[tuple(sl)] = values[a]
-        parts.append(arr)
-    return EdgeField(dims, *parts)
 
 
 class GridNetwork:

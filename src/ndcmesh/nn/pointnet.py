@@ -20,11 +20,11 @@ from scipy.spatial import cKDTree
 
 from ..datagen import ACTIVE_MANHATTAN, cloud_active_cells
 from ..errors import ShapeError, TooFewPoints
-from ..grids import EdgeField, GridDims, VertexOffsetGrid
+from ..grids import GridDims, VertexOffsetGrid, cells_to_edge_field
 from ..rng import rng_for
 from .layers import (Conv3d, LeakyReLU, Linear, MaxPoolAxis, ResBlockFC,
                      Sequential, sigmoid)
-from .network import HEAD_CHANNELS, cells_to_edge_field
+from .network import HEAD_CHANNELS
 
 K_NEIGHBORS = 8
 

@@ -14,12 +14,13 @@ import numpy as np
 
 from ..datagen import TrainingSample, augment_sample
 from ..errors import TrainingDiverged
+from ..grids import edge_field_to_cells
 from ..rng import rng_for
 from ..transforms import NUM_TRANSFORMS
 from .adam import Adam
 from .layers import sigmoid
 from .losses import masked_bce_loss, masked_mse_loss
-from .network import edge_field_to_cells, make_network
+from .network import make_network
 
 
 @dataclass

@@ -8,8 +8,6 @@ toward the mass point instead of letting them blow up along sharp edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoConstraints
@@ -17,12 +15,6 @@ from .errors import NoConstraints
 TRUNCATION_RATIO = 0.1
 
 _UNIT_BOUNDS = (np.zeros(3), np.ones(3))
-
-
-@dataclass(frozen=True)
-class PlaneConstraint:
-    point: tuple[float, float, float]
-    normal: tuple[float, float, float]
 
 
 def qef_solve_batch(
@@ -79,34 +71,8 @@ def qef_solve(
     constraints,
     cell_bounds: tuple | None = _UNIT_BOUNDS,
 ) -> np.ndarray:
-    """Solve a single constraint set; see qef_solve_batch.
-
-    Accepts a sequence of PlaneConstraint or of (point, normal) pairs.
-    """
+    """Solve a single set of (point, normal) constraints; see qef_solve_batch."""
     if len(constraints) == 0:
         raise NoConstraints("empty constraint list")
-    pts, nrms = [], []
-    for c in constraints:
-        if isinstance(c, PlaneConstraint):
-            pts.append(c.point)
-            nrms.append(c.normal)
-        else:
-            p, n = c
-            pts.append(p)
-            nrms.append(n)
-    points = np.asarray(pts, dtype=np.float64)[None]
-    normals = np.asarray(nrms, dtype=np.float64)[None]
-    valid = np.ones(points.shape[:2], dtype=bool)
-    bounds = None
-    if cell_bounds is not None:
-        bounds = (np.asarray(cell_bounds[0], float), np.asarray(cell_bounds[1], float))
-    return qef_solve_batch(points, normals, valid, bounds)[0]
-
-
-def qef_objective(constraints, x: np.ndarray) -> float:
-    """Residual sum of squares of a candidate position."""
-    total = 0.0
-    for c in constraints:
-        p, n = (c.point, c.normal) if isinstance(c, PlaneConstraint) else c
-        total += float(np.dot(np.asarray(n, float), np.asarray(x, float) - np.asarray(p, float)) ** 2)
-    return total
+    points, normals = (np.asarray(side, dtype=np.float64)[None] for side in zip(*constraints))
+    return qef_solve_batch(points, normals, np.ones(points.shape[:2], dtype=bool), cell_bounds)[0]

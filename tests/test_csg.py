@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from ndcmesh.csg import (Box, Cylinder, Intersect, Sphere, Subtract, Union,
-                         csg_gradient, csg_normal_fn, csg_sdf_eval,
-                         random_rotation, random_scene)
+                         csg_gradient, csg_normal_fn, random_rotation,
+                         random_scene)
 from ndcmesh.rng import rng_for
 
 
 def test_sphere_distances_are_exact():
     s = Sphere((0.0, 0.0, 0.0), 1.0)
-    assert csg_sdf_eval(s, np.array([[2.0, 0.0, 0.0]]))[0] == pytest.approx(1.0)
-    assert csg_sdf_eval(s, np.array([[0.0, 0.0, 0.0]]))[0] == pytest.approx(-1.0)
-    assert csg_sdf_eval(s, np.array([[0.0, 0.6, 0.8]]))[0] == pytest.approx(0.0, abs=1e-12)
+    assert s(np.array([[2.0, 0.0, 0.0]]))[0] == pytest.approx(1.0)
+    assert s(np.array([[0.0, 0.0, 0.0]]))[0] == pytest.approx(-1.0)
+    assert s(np.array([[0.0, 0.6, 0.8]]))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_box_distances_match_hand_values():
@@ -26,7 +26,7 @@ def test_box_distances_match_hand_values():
         [0.5, 0.0, 0.0],   # inside, nearest face at x=1
     ])
     want = np.array([-1.0, 2.0, np.sqrt(2.0), np.sqrt(3.0), -0.5])
-    assert np.allclose(csg_sdf_eval(b, pts), want, atol=1e-12)
+    assert np.allclose(b(pts), want, atol=1e-12)
 
 
 def test_rotated_box_measures_along_its_own_axes():
@@ -34,8 +34,8 @@ def test_rotated_box_measures_along_its_own_axes():
     b = Box((2.0, -1.0, 3.0), (1.0, 2.0, 0.5), tuple(map(tuple, rot)))
     # walk out of the +x face in the box frame
     p = np.asarray(b.center) + rot @ np.array([1.0 + 1.7, 0.0, 0.0])
-    assert csg_sdf_eval(b, p[None])[0] == pytest.approx(1.7, abs=1e-12)
-    assert csg_sdf_eval(b, np.asarray(b.center)[None])[0] == pytest.approx(-0.5)
+    assert b(p[None])[0] == pytest.approx(1.7, abs=1e-12)
+    assert b(np.asarray(b.center)[None])[0] == pytest.approx(-0.5)
 
 
 def test_cylinder_distances_match_hand_values():
@@ -47,9 +47,9 @@ def test_cylinder_distances_match_hand_values():
         [2.0, 0.0, 3.0],   # outside rim corner
     ])
     want = np.array([-1.0, 2.0, 3.0, np.sqrt(2.0)])
-    assert np.allclose(csg_sdf_eval(c, pts), want, atol=1e-12)
+    assert np.allclose(c(pts), want, atol=1e-12)
     tilted = Cylinder((0.0, 0.0, 0.0), (0.0, 0.0, 4.0), 1.0, 2.0)
-    assert np.allclose(csg_sdf_eval(tilted, pts), want, atol=1e-12)  # axis normalized
+    assert np.allclose(tilted(pts), want, atol=1e-12)  # axis normalized
 
 
 def test_boolean_fields_are_pointwise_min_max_compositions():
@@ -57,12 +57,12 @@ def test_boolean_fields_are_pointwise_min_max_compositions():
     b = Sphere((0.8, 0.0, 0.0), 1.0)
     rng = rng_for(9, "booleans")
     p = rng.uniform(-3, 3, size=(1000, 3))
-    va, vb = csg_sdf_eval(a, p), csg_sdf_eval(b, p)
-    assert np.array_equal(csg_sdf_eval(Union(a, b), p), np.minimum(va, vb))
-    assert np.array_equal(csg_sdf_eval(Intersect(a, b), p), np.maximum(va, vb))
-    assert np.array_equal(csg_sdf_eval(Subtract(a, b), p), np.maximum(va, -vb))
+    va, vb = a(p), b(p)
+    assert np.array_equal(Union(a, b)(p), np.minimum(va, vb))
+    assert np.array_equal(Intersect(a, b)(p), np.maximum(va, vb))
+    assert np.array_equal(Subtract(a, b)(p), np.maximum(va, -vb))
     # union never exceeds either child
-    u = csg_sdf_eval(Union(a, b), p)
+    u = Union(a, b)(p)
     assert np.all(u <= va) and np.all(u <= vb)
 
 
@@ -98,11 +98,11 @@ def test_random_scenes_are_seeded_and_stay_inside_the_margin():
     for seed in range(6):
         scene = random_scene(seed, extent=32.0)
         again = random_scene(seed, extent=32.0)
-        assert np.array_equal(csg_sdf_eval(scene, probe), csg_sdf_eval(again, probe))
+        assert np.array_equal(scene(probe), again(probe))
         # some interior exists and the domain boundary is strictly outside
         lattice = np.stack(np.meshgrid(*[np.arange(33.0)] * 3, indexing="ij"),
                            axis=-1).reshape(-1, 3)
-        vals = csg_sdf_eval(scene, lattice)
+        vals = scene(lattice)
         assert vals.min() < 0
         border = np.abs(lattice - 16.0).max(axis=1) == 16.0
         assert np.all(vals[border] > 0)

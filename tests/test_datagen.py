@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ndcmesh.csg import Box, Sphere, random_scene
-from ndcmesh.datagen import (BAND_WIDTH, augment_sample, build_masks,
+from ndcmesh.datagen import (BAND_WIDTH, SIDE_TOL, _triangle_columns,
+                             augment_sample, build_masks,
                              cloud_active_cells, gt_edge_data,
                              make_training_sample, mesh_to_sdf_grid,
                              occupancy_from_mesh, plane_sheet_mesh,
@@ -291,6 +292,99 @@ def test_point_cloud_masks_cover_the_manhattan_band():
 
 # ---------------------------------------------------------------------------
 # mesh-derived fields
+
+
+def reference_half_open_hits(corners, det, q, hit):
+    """Per-triangle oracle of `_half_open_hits`: one (3, 2) corner set
+    and one determinant for all points."""
+    near = np.zeros(len(q), dtype=bool)
+    inside = np.ones(len(q), dtype=bool)
+    for i in range(3):
+        p, r = corners[i], corners[(i + 1) % 3]
+        swap = tuple(r) < tuple(p)
+        if swap:
+            p, r = r, p
+        d = r - p
+        e = d[0] * (q[:, 1] - p[1]) - d[1] * (q[:, 0] - p[0])
+        on = np.abs(e) <= SIDE_TOL * np.hypot(d[0], d[1])
+        side = np.where(on, np.sign(-d[1] if d[1] != 0 else d[0]), np.sign(e))
+        inside &= (-side if swap else side) == np.sign(det)
+        near |= on
+    return np.where(near, inside, hit)
+
+
+def reference_triangle_columns(mesh, axis, half_open=False):
+    """Loop oracle of `_triangle_columns`: one triangle at a time."""
+    b, c = (axis + 1) % 3, (axis + 2) % 3
+    v = mesh.vertices
+    outs = []
+    for t in range(len(mesh.tris)):
+        pa, pb, pc = v[mesh.tris[t, 0]], v[mesh.tris[t, 1]], v[mesh.tris[t, 2]]
+        a2 = np.array([pa[b], pa[c]])
+        b2 = np.array([pb[b], pb[c]])
+        c2 = np.array([pc[b], pc[c]])
+        det = (b2[0] - a2[0]) * (c2[1] - a2[1]) - (c2[0] - a2[0]) * (b2[1] - a2[1])
+        if abs(det) < 1e-14:
+            continue
+        lob = int(np.ceil(min(a2[0], b2[0], c2[0]) - SIDE_TOL))
+        hib = int(np.floor(max(a2[0], b2[0], c2[0]) + SIDE_TOL))
+        loc = int(np.ceil(min(a2[1], b2[1], c2[1]) - SIDE_TOL))
+        hic = int(np.floor(max(a2[1], b2[1], c2[1]) + SIDE_TOL))
+        if lob > hib or loc > hic:
+            continue
+        bb, cc = np.meshgrid(np.arange(lob, hib + 1), np.arange(loc, hic + 1), indexing="ij")
+        bb = bb.ravel()
+        cc = cc.ravel()
+        px = bb - a2[0]
+        py = cc - a2[1]
+        w1 = ((c2[1] - a2[1]) * px - (c2[0] - a2[0]) * py) / det
+        w2 = (-(b2[1] - a2[1]) * px + (b2[0] - a2[0]) * py) / det
+        least = np.minimum(np.minimum(w1, w2), 1 - (w1 + w2))
+        hit = least >= 0
+        if half_open:
+            close = np.abs(least) <= 4 * SIDE_TOL * (max(hib - lob, hic - loc) + 2) / abs(det)
+            if np.any(close):
+                hit[close] = reference_half_open_hits(
+                    np.array([a2, b2, c2]), det,
+                    np.stack([bb[close], cc[close]], axis=1), hit[close])
+        if not np.any(hit):
+            continue
+        u = pa[axis] + w1[hit] * (pb[axis] - pa[axis]) + w2[hit] * (pc[axis] - pa[axis])
+        n = np.cross(pb - pa, pc - pa)
+        nn = np.linalg.norm(n)
+        n = n / nn if nn > 0 else np.array([1.0, 0.0, 0.0])
+        outs.append((bb[hit], cc[hit], u, np.repeat(n[None], np.count_nonzero(hit), axis=0)))
+    if not outs:
+        empty = np.empty(0)
+        return empty.astype(int), empty.astype(int), empty, np.empty((0, 3))
+    return tuple(np.concatenate(col) for col in zip(*outs))
+
+
+def test_triangle_columns_match_the_per_triangle_reference():
+    scene = random_scene(5, 15.0)
+    mc = mc_extract(sample_csg_grid(lambda p: 2.0 * scene(p / 2.0), GridDims(31, 31, 31)))
+    aligned = TriMesh(mc.vertices / 2.0, mc.tris)
+    shifted = TriMesh(aligned.vertices + (0.1357, 0.2468, 0.3579), mc.tris)
+    dims = GridDims(9, 9, 9)
+    sheets = [plane_sheet_mesh(dims, axis=a, coord=4.0) for a in range(3)]
+    # a sheet whose corners sit on lattice points, tilted against every axis
+    sheets.append(TriMesh(np.array([[0.0, 0.0, 2.0], [8.0, 0.0, 3.0], [8.0, 8.0, 6.0],
+                                    [0.0, 8.0, 5.0]]), np.array([[0, 1, 2], [0, 2, 3]])))
+    # in the plane x = 2.5, parallel to the y and z axes, plus a sliver
+    parallel = TriMesh(np.array([[2.5, 0.0, 0.0], [2.5, 3.0, 0.0], [2.5, 0.0, 3.0],
+                                 [1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 3.0]]),
+                       np.array([[0, 1, 2], [3, 4, 5]]))
+    outside = TriMesh(np.array([[-5.0, -5.0, -5.0], [-2.0, -4.5, -5.0], [-4.0, -2.0, -3.0],
+                                [-3.0, 4.0, 4.0], [20.0, 4.5, 4.0], [4.0, 30.0, -2.0]]),
+                      np.array([[0, 1, 2], [3, 4, 5]]))
+    empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    for mesh in [aligned, shifted, *sheets, parallel, outside, empty]:
+        for axis in range(3):
+            for half_open in (False, True):
+                got = _triangle_columns(mesh, axis, half_open)
+                want = reference_triangle_columns(mesh, axis, half_open)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w), (axis, half_open)
 
 
 def test_mesh_sdf_matches_the_analytic_sphere():

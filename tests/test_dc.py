@@ -4,9 +4,11 @@ import numpy as np
 
 from ndcmesh.csg import Box, Sphere, csg_normal_fn
 from ndcmesh.datagen import sample_csg_grid
-from ndcmesh.dc import dc_extract, dc_fields
+from ndcmesh.dc import (_cell_constraints, _gather_neighborhood, _neighbor_rows,
+                        _projected_edge_anchors, dc_extract, dc_fields)
 from ndcmesh.fileio import as_tri_mesh
-from ndcmesh.grids import GridDims, GridKind, ScalarGrid
+from ndcmesh.grids import (GridDims, GridKind, ScalarGrid,
+                           edge_crossing_normals, edge_crossings_linear)
 from ndcmesh.mc import mc_extract
 from ndcmesh.mesh import edge_topology_stats
 from ndcmesh.metrics import evaluate_mesh
@@ -162,3 +164,99 @@ def test_dc_fields_offsets_keep_the_in_cell_contract():
     # inactive cells stay centered
     far = offsets.offsets[0, 0, 0]
     assert np.allclose(far, 0.5)
+
+
+def reference_constraints(crossings, normals, anchors=None):
+    """Per-cell loop oracle of the constraint table: the 12 edges of every
+    cell with a crossing, cells in C order, slot 4 * axis + 2 * (offset
+    along the lower other axis) + (offset along the higher one)."""
+    rows = []
+    for cell in np.ndindex(crossings.dims.cell_shape):
+        valid = np.zeros(12, dtype=bool)
+        pts = np.zeros((12, 3))
+        nrm = np.zeros((12, 3))
+        for axis in range(3):
+            low, high = sorted({0, 1, 2} - {axis})
+            for k, (dl, dh) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+                slot = 4 * axis + k
+                offset = np.zeros(3, dtype=np.int64)
+                offset[low], offset[high] = dl, dh
+                edge = tuple(np.add(cell, offset))
+                t = crossings.axis(axis)[edge]
+                valid[slot] = not np.isnan(t)
+                if anchors is None:
+                    pts[slot] = offset
+                    pts[slot, axis] = np.nan_to_num(t)
+                else:
+                    pts[slot] = np.nan_to_num(anchors.axis(axis)[edge]) - np.array(cell)
+                nrm[slot] = np.nan_to_num(normals.axis(axis)[edge])
+        if valid.any():
+            rows.append((cell, valid, pts, nrm))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def reference_neighborhood(cells, valid, pts, nrm):
+    """27-pass oracle of the neighborhood gather over dense per-cell
+    arrays shaped (cells..., 12[, 3])."""
+    shape = valid.shape[:3]
+    pp = np.zeros((len(cells), 27 * 12, 3))
+    nn = np.zeros((len(cells), 27 * 12, 3))
+    block = 0
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            for dz in (-1, 0, 1):
+                shift = np.array((dx, dy, dz), dtype=np.float64)
+                nb = cells + shift.astype(np.int64)
+                ok = np.all((nb >= 0) & (nb < shape), axis=1)
+                idx = tuple(nb[ok].T)
+                sl = slice(block * 12, (block + 1) * 12)
+                keep = valid[idx]
+                pp[ok, sl] = np.where(keep[..., None], pts[idx] + shift, 0.0)
+                nn[ok, sl] = np.where(keep[..., None], nrm[idx], 0.0)
+                block += 1
+    return nn, pp
+
+
+def constraint_inputs():
+    """Crossings, normals and anchors (or None) of box scenes, whose
+    flats and sharp edges leave rank-deficient cells, and of grids two
+    vertices wide along some axes."""
+    box = Box(np.array([5.3, 4.7, 5.1]), np.array([2.2, 3.4, 1.8]))
+    rotated = Box(np.full(3, 5.0), np.array([2.2, 1.4, 2.6]), rand_rot(rng_for(4, "x")))
+    for shape in (box, rotated):
+        grid = sample_csg_grid(shape, GridDims(11, 11, 11))
+        crossings = edge_crossings_linear(grid)
+        yield crossings, edge_crossing_normals(grid, crossings)[0], None
+        anchors, normals = _projected_edge_anchors(grid, crossings, csg_normal_fn(shape), 0.0)
+        yield crossings, normals, anchors
+    rng = rng_for(5, "two-wide")
+    for dims in ((2, 5, 7), (6, 2, 2), (2, 2, 2), (2, 9, 2)):
+        grid = ScalarGrid(GridDims(*dims), GridKind.SDF, rng.normal(size=dims))
+        crossings = edge_crossings_linear(grid)
+        yield crossings, edge_crossing_normals(grid, crossings)[0], None
+        anchors, normals = _projected_edge_anchors(
+            grid, crossings, lambda p: np.sin(p) + (0.3, -0.5, 0.8), 0.0)
+        yield crossings, normals, anchors
+
+
+def test_constraint_table_matches_the_per_cell_reference():
+    for crossings, normals, anchors in constraint_inputs():
+        table = _cell_constraints(crossings, normals, anchors)
+        want = reference_constraints(crossings, normals, anchors)
+        assert len(want[0]) > 0
+        for got, ref in zip(table, want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_neighborhood_gather_matches_the_27_pass_reference():
+    for crossings, normals, anchors in constraint_inputs():
+        table = cells, valid, pts, nrm = _cell_constraints(crossings, normals, anchors)
+        shape = crossings.dims.cell_shape
+        dense = [np.zeros(shape + col.shape[1:], dtype=col.dtype) for col in (valid, pts, nrm)]
+        for arr, col in zip(dense, (valid, pts, nrm)):
+            arr[tuple(cells.T)] = col
+        rows = np.arange(len(cells))[::-1]
+        got = _gather_neighborhood(_neighbor_rows(rows, cells, shape), table)
+        want = reference_neighborhood(cells[rows], *dense)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)

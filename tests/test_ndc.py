@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from ndcmesh.csg import Sphere, csg_normal_fn
+from ndcmesh.csg import Sphere, csg_normal_fn, random_scene
 from ndcmesh.datagen import sample_csg_grid
 from ndcmesh.dc import dc_extract, dc_fields
 from ndcmesh.grids import (EdgeField, GridDims, SignGrid, VertexOffsetGrid,
-                           xor_flags)
+                           signs_from_scalar, xor_flags)
 from ndcmesh.mesh import edge_topology_stats
 from ndcmesh.ndc import close_holes, ndc_extract, undc_extract
 from ndcmesh.rng import rng_for
@@ -158,6 +158,30 @@ def test_hole_free_field_is_a_fixpoint():
     out = close_holes(intact)
     for a, b in zip(flag_arrays(out), flag_arrays(intact)):
         assert np.array_equal(a, b)
+
+
+def test_missing_quad_beside_the_border_ring_is_restored_in_one_pass():
+    # two of the quad's mesh edges lie on the outermost ring of cells;
+    # the flags on the boundary planes beyond them count as their faces
+    dims = GridDims(9, 9, 9)
+    intact = sheet_flags(dims, 4)
+    holed = intact.copy()
+    holed.z[1, 1, 4] = False
+    fixed = close_holes(holed, max_passes=1)
+    for a, b in zip(flag_arrays(fixed), flag_arrays(intact)):
+        assert np.array_equal(a, b)
+
+
+def test_surfaces_cut_by_the_grid_border_are_fixpoints():
+    # scenes of extent 30 seen through a 16^3 window from (7, 7, 7)
+    dims = GridDims(16, 16, 16)
+    for seed in range(1, 41):
+        scene = random_scene(seed, 30.0)
+        grid = sample_csg_grid(lambda p: scene(p + 7.0), dims)
+        flags = xor_flags(signs_from_scalar(grid))
+        out = close_holes(flags)
+        for a, b in zip(flag_arrays(out), flag_arrays(flags)):
+            assert np.array_equal(a, b), seed
 
 
 def test_two_adjacent_missing_quads_are_restored_within_two_passes():
