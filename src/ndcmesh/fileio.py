@@ -20,12 +20,13 @@ kernel byte) followed by f32 weights in (out, in, kz, ky, kx) order and
 f32 biases.
 """
 
+import math
 import struct
 
 import numpy as np
 
-from .errors import (BadMagic, BadVersion, GridFormatError, ObjParseError,
-                     ShapeError, TruncatedPayload)
+from .errors import (BadMagic, BadVersion, GridFormatError, NonFiniteValues,
+                     ObjParseError, ShapeError, TruncatedPayload)
 from .grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
                     VertexOffsetGrid)
 from .mesh import QuadMesh, TriMesh
@@ -46,7 +47,8 @@ _VARIANT_CODES = {"sdf_v": 0, "sdf_s": 1, "sdf_f": 2,
 _VARIANT_NAMES = {v: k for k, v in _VARIANT_CODES.items()}
 _HEAD_CODES = {"sign": 0, "vertex": 1, "flag": 2}
 _HEAD_NAMES = {v: k for k, v in _HEAD_CODES.items()}
-_LAYER_CODES = {"conv3": 1, "conv1": 2, "fc": 3}
+# layer kind code by kernel size: conv3, conv1, and fc (no kernel, 0)
+_LAYER_KINDS = {3: 1, 1: 2, 0: 3}
 
 
 # ---------------------------------------------------------------- OBJ
@@ -84,6 +86,8 @@ def read_obj(path):
                     vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
                 except ValueError:
                     raise ObjParseError("bad vertex coordinate", lineno) from None
+                if not all(map(math.isfinite, vertices[-1])):
+                    raise NonFiniteValues(f"{path}:{lineno}: non-finite vertex coordinate")
             elif parts[0] == "f":
                 idx = []
                 for tok in parts[1:]:
@@ -315,29 +319,19 @@ def read_grid(path, kind: GridKind = GridKind.SDF):
 
 def save_weights(path, net) -> None:
     layers = net.param_layers()
-    resblocks = getattr(net, "resblock_count", None)
-    if resblocks is None:
-        resblocks = len(getattr(getattr(net, "res", None), "layers", []))
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(bytes([WEIGHTS_VERSION]))
         fh.write(bytes([_VARIANT_CODES[net.variant]]))
         fh.write(bytes([_HEAD_CODES[net.head]]))
         fh.write(struct.pack("<I", net.channels))
-        fh.write(bytes([resblocks]))
+        fh.write(bytes([getattr(net, "resblock_count", 0)]))
         fh.write(struct.pack("<H", len(layers)))
         for layer in layers:
+            w = layer.weight.value
             kernel = getattr(layer, "kernel", 0)
-            if kernel == 3:
-                kind, shape_in, shape_out = "conv3", layer.in_channels, layer.out_channels
-            elif kernel == 1:
-                kind, shape_in, shape_out = "conv1", layer.in_channels, layer.out_channels
-            else:
-                kind, shape_in, shape_out = "fc", layer.in_features, layer.out_features
-            fh.write(bytes([_LAYER_CODES[kind]]))
-            fh.write(struct.pack("<II", shape_in, shape_out))
-            fh.write(bytes([kernel]))
-            fh.write(np.ascontiguousarray(layer.weight.value, dtype="<f4").tobytes())
+            fh.write(struct.pack("<BIIB", _LAYER_KINDS[kernel], w.shape[1], w.shape[0], kernel))
+            fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(layer.bias.value, dtype="<f4").tobytes())
 
 
@@ -368,16 +362,13 @@ def load_weights(path):
     for layer in layers:
         if ofs + 10 > len(data):
             raise TruncatedPayload(f"{path}: layer header truncated")
-        kind_code = data[ofs]
-        fin, fout = struct.unpack_from("<II", data, ofs + 1)
-        kernel = data[ofs + 9]
+        kind_code, fin, fout, kernel = struct.unpack_from("<BIIB", data, ofs)
         ofs += 10
         expect_kernel = getattr(layer, "kernel", 0)
         if kernel != expect_kernel:
             raise GridFormatError(
                 f"{path}: layer kernel {kernel} does not match architecture {expect_kernel}")
-        expect_kind = {3: "conv3", 1: "conv1", 0: "fc"}[kernel]
-        if kind_code != _LAYER_CODES[expect_kind]:
+        if kind_code != _LAYER_KINDS[kernel]:
             raise GridFormatError(
                 f"{path}: layer kind code {kind_code} does not match kernel {kernel}")
         w = layer.weight.value
@@ -447,4 +438,7 @@ def read_xyz(path) -> np.ndarray:
             if len(parts) < 3:
                 raise GridFormatError(f"{path}:{lineno}: point needs 3 coordinates")
             rows.append([float(parts[0]), float(parts[1]), float(parts[2])])
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    points = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    if not np.all(np.isfinite(points)):
+        raise NonFiniteValues(f"{path}: point coordinates must be finite")
+    return points

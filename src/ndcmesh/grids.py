@@ -166,6 +166,8 @@ class VertexOffsetGrid:
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=np.float64)
         _check_shape("VertexOffsetGrid.offsets", self.offsets, self.dims.cell_shape + (3,))
+        if not np.all(np.isfinite(self.offsets)):
+            raise NonFiniteValues("VertexOffsetGrid.offsets must be finite")
 
 
 @dataclass

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMesh, ShapeError
+from .errors import EmptyMesh, NonFiniteValues, ShapeError
 from .rng import rng_for
 
 
@@ -19,6 +19,8 @@ class QuadMesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         self.quads = np.asarray(self.quads, dtype=np.int64).reshape(-1, 4)
+        if not np.all(np.isfinite(self.vertices)):
+            raise NonFiniteValues("QuadMesh.vertices must be finite")
         if self.quads.size and not 0 <= self.quads.min() <= self.quads.max() < len(self.vertices):
             raise ShapeError("quad index out of range")
 
@@ -31,6 +33,8 @@ class TriMesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         self.tris = np.asarray(self.tris, dtype=np.int64).reshape(-1, 3)
+        if not np.all(np.isfinite(self.vertices)):
+            raise NonFiniteValues("TriMesh.vertices must be finite")
         if self.tris.size and not 0 <= self.tris.min() <= self.tris.max() < len(self.vertices):
             raise ShapeError("triangle index out of range")
 

@@ -12,6 +12,7 @@ slope; biases start at zero. Arrays keep whatever dtype the layer was
 built with (float32 for training, float64 for gradient checking).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -36,10 +37,17 @@ def _kaiming_std(fan_in: int, slope: float = LEAKY_SLOPE) -> float:
 
 
 class Layer:
-    """Base class; stateless layers only need forward/backward."""
+    """Base class; stateless layers only need forward/backward.
+
+    A layer with weights lists the Conv3d and Linear layers it owns in
+    param_layers(); params() and zero_grad() follow from that list.
+    """
+
+    def param_layers(self) -> list:
+        return []
 
     def params(self) -> list:
-        return []
+        return [p for layer in self.param_layers() for p in (layer.weight, layer.bias)]
 
     def zero_grad(self) -> None:
         for p in self.params():
@@ -49,9 +57,14 @@ class Layer:
 class Conv3d(Layer):
     """3D cross-correlation with kernel size 1 or 3, stride 1.
 
-    Kernel size 3 zero-pads by one voxel so the spatial shape is
-    preserved; kernel size 1 is a per-voxel channel mix. Weights are
-    stored as (out, in, kz, ky, kx).
+    The input is zero-padded by kernel // 2 voxels so the spatial shape
+    is preserved, and every pass is one loop over the kernel^3 windows
+    of the padded input: the output sums each window's channel mix, the
+    weight gradient correlates the output gradient with each window, and
+    the input gradient scatters each window's share back. Kernel size 1
+    is the unpadded case with a single window, the input itself, so it
+    is neither copied nor padded. Weights are stored as
+    (out, in, kz, ky, kx).
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
@@ -65,55 +78,42 @@ class Conv3d(Layer):
         w = rng.normal(0.0, std, size=(out_channels, in_channels, kernel, kernel, kernel))
         self.weight = Param(w.astype(dtype))
         self.bias = Param(np.zeros(out_channels, dtype=dtype))
-        self._x = None
         self._xp = None
 
-    def params(self):
-        return [self.weight, self.bias]
+    def param_layers(self):
+        return [self]
+
+    def _windows(self, d: int, h: int, w: int):
+        """(weight tap, padded-input window) index pairs, dx fastest."""
+        for dz, dy, dx in itertools.product(range(self.kernel), repeat=3):
+            yield ((slice(None), slice(None), dz, dy, dx),
+                   (slice(None), slice(dz, dz + d), slice(dy, dy + h), slice(dx, dx + w)))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise ShapeError(
                 f"conv input must be ({self.in_channels}, D, H, W), got {x.shape}")
-        _, d, h, w = x.shape
+        p = self.kernel // 2
+        self._xp = xp = np.pad(x, [(0, 0)] + [(p, p)] * 3) if p else x
         wv = self.weight.value
-        if self.kernel == 1:
-            self._x = x
-            y = np.tensordot(wv[:, :, 0, 0, 0], x, axes=1)
-        else:
-            xp = np.zeros((self.in_channels, d + 2, h + 2, w + 2), dtype=x.dtype)
-            xp[:, 1:-1, 1:-1, 1:-1] = x
-            self._xp = xp
-            y = np.zeros((self.out_channels, d, h, w), dtype=x.dtype)
-            for dz in range(3):
-                for dy in range(3):
-                    for dx in range(3):
-                        y += np.tensordot(
-                            wv[:, :, dz, dy, dx],
-                            xp[:, dz:dz + d, dy:dy + h, dx:dx + w],
-                            axes=1)
+        terms = (np.tensordot(wv[tap], xp[win], axes=1)
+                 for tap, win in self._windows(*x.shape[1:]))
+        y = next(terms)
+        for term in terms:
+            y += term
         return y + self.bias.value[:, None, None, None]
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         self.bias.grad += gy.sum(axis=(1, 2, 3))
         wv = self.weight.value
-        if self.kernel == 1:
-            x = self._x
-            self.weight.grad[:, :, 0, 0, 0] += np.tensordot(
-                gy, x, axes=([1, 2, 3], [1, 2, 3]))
-            return np.tensordot(wv[:, :, 0, 0, 0].T, gy, axes=1)
         xp = self._xp
         _, d, h, w = gy.shape
         gxp = np.zeros_like(xp)
-        for dz in range(3):
-            for dy in range(3):
-                for dx in range(3):
-                    window = xp[:, dz:dz + d, dy:dy + h, dx:dx + w]
-                    self.weight.grad[:, :, dz, dy, dx] += np.tensordot(
-                        gy, window, axes=([1, 2, 3], [1, 2, 3]))
-                    gxp[:, dz:dz + d, dy:dy + h, dx:dx + w] += np.tensordot(
-                        wv[:, :, dz, dy, dx].T, gy, axes=1)
-        return gxp[:, 1:-1, 1:-1, 1:-1]
+        for tap, win in self._windows(d, h, w):
+            self.weight.grad[tap] += np.tensordot(gy, xp[win], axes=([1, 2, 3], [1, 2, 3]))
+            gxp[win] += np.tensordot(wv[tap].T, gy, axes=1)
+        p = self.kernel // 2
+        return gxp[:, p:p + d, p:p + h, p:p + w]
 
 
 class Linear(Layer):
@@ -129,8 +129,8 @@ class Linear(Layer):
         self.bias = Param(np.zeros(out_features, dtype=dtype))
         self._x = None
 
-    def params(self):
-        return [self.weight, self.bias]
+    def param_layers(self):
+        return [self]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.in_features:
@@ -195,8 +195,8 @@ class ResBlockFC(Layer):
         self.fc2 = Linear(channels, channels, rng, dtype)
         self.act2 = LeakyReLU()
 
-    def params(self):
-        return self.fc1.params() + self.fc2.params()
+    def param_layers(self):
+        return [self.fc1, self.fc2]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = self.act1.forward(self.fc1.forward(x))
@@ -212,11 +212,8 @@ class Sequential(Layer):
     def __init__(self, layers: list):
         self.layers = list(layers)
 
-    def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+    def param_layers(self):
+        return [pl for layer in self.layers for pl in layer.param_layers()]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:

@@ -22,7 +22,7 @@ from ..errors import InvalidKind
 from ..grids import (GridKind, ScalarGrid, SignGrid, VertexOffsetGrid,
                      cells_to_edge_field)
 from ..rng import rng_for
-from .layers import Conv3d, LeakyReLU, Sequential, sigmoid
+from .layers import Conv3d, LeakyReLU, Layer, Sequential, sigmoid
 
 GRID_VARIANTS = {
     "sdf_v": ("sdf", "vertex", 3),
@@ -35,7 +35,39 @@ GRID_VARIANTS = {
 HEAD_CHANNELS = {"sign": 1, "vertex": 3, "flag": 3}
 
 
-class GridNetwork:
+def conv_stack(in_channels: int, channels: int, out_channels: int, n_conv3: int,
+               seed: int, tags: tuple[str, str], dtype) -> Sequential:
+    """n_conv3 3^3 convolutions, then three 1^3 ones; leaky ReLU between.
+
+    Layer i of each kernel size draws its weights from rng_for(seed,
+    tag, i), with tags = (3^3 tag, 1^3 tag). The last 1^3 convolution
+    maps to out_channels logits.
+    """
+    tag3, tag1 = tags
+    layers = []
+    for i in range(n_conv3):
+        layers += [Conv3d(in_channels if i == 0 else channels, channels, 3,
+                          rng_for(seed, tag3, i), dtype), LeakyReLU()]
+    for i in range(2):
+        layers += [Conv3d(channels, channels, 1, rng_for(seed, tag1, i), dtype),
+                   LeakyReLU()]
+    layers.append(Conv3d(channels, out_channels, 1, rng_for(seed, tag1, 2), dtype))
+    return Sequential(layers)
+
+
+def crop_cells(arr: np.ndarray, cell_shape) -> np.ndarray:
+    """The (C, *cell_shape) corner of a (C, *vertex_shape) array."""
+    return arr[:, : cell_shape[0], : cell_shape[1], : cell_shape[2]]
+
+
+def cell_head_output(head: str, probs: np.ndarray, dims):
+    """Typed vertex or flag output from (3, *cell_shape) probabilities."""
+    if head == "flag":
+        return cells_to_edge_field(probs > 0.5, dims)
+    return VertexOffsetGrid(dims, np.moveaxis(probs, 0, -1).astype(np.float64))
+
+
+class GridNetwork(Layer):
     """Fully convolutional network over a scalar grid, one head."""
 
     def __init__(self, variant: str, channels: int = 64, seed: int = 0,
@@ -47,29 +79,11 @@ class GridNetwork:
         self.channels = channels
         self.out_channels = HEAD_CHANNELS[self.head]
         self.dtype = dtype
-        layers = []
-        in_ch = 1
-        for i in range(n_conv3):
-            layers.append(Conv3d(in_ch, channels, 3,
-                                 rng_for(seed, "conv3", i), dtype))
-            layers.append(LeakyReLU())
-            in_ch = channels
-        for i in range(2):
-            layers.append(Conv3d(channels, channels, 1,
-                                 rng_for(seed, "conv1", i), dtype))
-            layers.append(LeakyReLU())
-        layers.append(Conv3d(channels, self.out_channels, 1,
-                             rng_for(seed, "conv1", 2), dtype))
-        self.trunk = Sequential(layers)
-
-    def params(self):
-        return self.trunk.params()
+        self.trunk = conv_stack(1, channels, self.out_channels, n_conv3, seed,
+                                ("conv3", "conv1"), dtype)
 
     def param_layers(self):
-        return [l for l in self.trunk.layers if isinstance(l, Conv3d)]
-
-    def zero_grad(self):
-        self.trunk.zero_grad()
+        return self.trunk.param_layers()
 
     def _check_grid(self, grid: ScalarGrid) -> None:
         ok = ((self.input_kind == "sdf" and grid.kind in (GridKind.SDF, GridKind.UDF))
@@ -88,22 +102,13 @@ class GridNetwork:
         self._check_grid(grid)
         return grid.values[None].astype(self.dtype)
 
-    def predict_probs(self, grid: ScalarGrid) -> np.ndarray:
-        """Sigmoid probabilities over the full vertex lattice."""
-        return sigmoid(self.forward_logits(self.input_tensor(grid)))
-
     def predict(self, grid: ScalarGrid):
         """Thresholded, typed output for this network's head."""
-        probs = self.predict_probs(grid)
-        dims = grid.dims
-        m, n, k = dims.vertex_shape
+        probs = sigmoid(self.forward_logits(self.input_tensor(grid)))
         if self.head == "sign":
-            return SignGrid(dims, probs[0] > 0.5)
-        if self.head == "vertex":
-            cropped = probs[:, : m - 1, : n - 1, : k - 1]
-            return VertexOffsetGrid(dims, np.moveaxis(cropped, 0, -1).astype(np.float64))
-        cropped = probs[:, : m - 1, : n - 1, : k - 1] > 0.5
-        return cells_to_edge_field(cropped, dims)
+            return SignGrid(grid.dims, probs[0] > 0.5)
+        return cell_head_output(self.head, crop_cells(probs, grid.dims.cell_shape),
+                                grid.dims)
 
 
 def make_network(variant: str, channels: int | None = None, seed: int = 0,

@@ -18,9 +18,9 @@ from ..grids import edge_field_to_cells
 from ..rng import rng_for
 from ..transforms import NUM_TRANSFORMS
 from .adam import Adam
-from .layers import sigmoid
+from .layers import Sigmoid
 from .losses import masked_bce_loss, masked_mse_loss
-from .network import make_network
+from .network import crop_cells, make_network
 
 
 @dataclass
@@ -29,18 +29,11 @@ class TrainConfig:
     head: str | None = None
     channels: int | None = None
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
     epochs: int = 400
     halve_every: int = 100
     augment: bool = False
     seed: int = 0
     stop_below: float | None = None
-    resblocks: int | None = None
-
-
-def _crop_cells(arr: np.ndarray, cell_shape) -> np.ndarray:
-    return arr[:, : cell_shape[0], : cell_shape[1], : cell_shape[2]]
 
 
 def train_step(net, sample: TrainingSample, adam: Adam) -> float:
@@ -52,7 +45,7 @@ def train_step(net, sample: TrainingSample, adam: Adam) -> float:
         cropped = logits
     else:
         logits = net.forward_logits(net.input_tensor(sample.grid))
-        cropped = _crop_cells(logits, cells)
+        cropped = crop_cells(logits, cells)
 
     if net.head == "sign":
         loss, g = masked_bce_loss(logits[0], sample.gt_signs.inside,
@@ -64,11 +57,11 @@ def train_step(net, sample: TrainingSample, adam: Adam) -> float:
         loss, g = masked_bce_loss(cropped, labels, mask)
         glogits = _embed(g, logits)
     else:
-        probs = sigmoid(cropped)
-        pred = np.moveaxis(probs, 0, -1)
+        act = Sigmoid()
+        pred = np.moveaxis(act.forward(cropped), 0, -1)
         loss, gp = masked_mse_loss(pred, sample.gt_offsets.offsets,
                                    sample.masks.m_v)
-        g = np.moveaxis(gp, -1, 0) * probs * (1.0 - probs)
+        g = act.backward(np.moveaxis(gp, -1, 0))
         glogits = _embed(g.astype(logits.dtype), logits)
 
     net.backward(glogits)
@@ -91,9 +84,8 @@ def train_network(config: TrainConfig, samples: list):
         raise ValueError("training needs at least one sample")
     net = make_network(config.variant, channels=config.channels,
                        seed=rng_for(config.seed, "init").integers(2 ** 31),
-                       head=config.head, resblocks=config.resblocks)
-    adam = Adam(net.params(), lr=config.lr, beta1=config.beta1,
-                beta2=config.beta2)
+                       head=config.head)
+    adam = Adam(net.params(), lr=config.lr)
     history = []
     for epoch in range(config.epochs):
         if config.halve_every:

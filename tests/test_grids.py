@@ -74,6 +74,15 @@ def test_scalar_grids_reject_nan_and_inf():
                 ScalarGrid(dims, kind, vals)
 
 
+def test_vertex_offset_grids_reject_nan_and_inf():
+    dims = GridDims(2, 3, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        offsets = np.full(dims.cell_shape + (3,), 0.5)
+        offsets[0, 1, 0, 2] = bad
+        with pytest.raises(NonFiniteValues):
+            VertexOffsetGrid(dims, offsets)
+
+
 # -- signs ------------------------------------------------------------------
 
 

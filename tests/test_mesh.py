@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ndcmesh.errors import ShapeError
+from ndcmesh.errors import NonFiniteValues, ShapeError
 from ndcmesh.grids import EdgeField, GridDims, SignGrid, VertexOffsetGrid
 from ndcmesh.mesh import (QuadMesh, TriMesh, edge_topology_stats, mesh_edges,
                           quad_areas, split_quads, triangle_areas)
@@ -14,6 +14,16 @@ def single_quad() -> QuadMesh:
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                       [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     return QuadMesh(verts, np.array([[0, 1, 2, 3]]))
+
+
+def test_meshes_reject_non_finite_vertices():
+    for bad in (np.nan, np.inf, -np.inf):
+        verts = single_quad().vertices.copy()
+        verts[2, 1] = bad
+        with pytest.raises(NonFiniteValues):
+            QuadMesh(verts, np.array([[0, 1, 2, 3]]))
+        with pytest.raises(NonFiniteValues):
+            TriMesh(verts, np.array([[0, 1, 2]]))
 
 
 def large_sheet() -> QuadMesh:

@@ -39,6 +39,61 @@ def conv3d_loop(x, weight, bias, kernel):
     return y
 
 
+class reference_conv3d:
+    """The two-branch Conv3d this package had before its single window
+    loop: a direct channel mix for kernel 1, a zero-padded 27-window sum
+    for kernel 3. Shares weights with a Conv3d, keeps its own gradients."""
+
+    def __init__(self, conv):
+        self.kernel = conv.kernel
+        self.in_channels, self.out_channels = conv.in_channels, conv.out_channels
+        self.weight = conv.weight.value
+        self.weight_grad = np.zeros_like(self.weight)
+        self.bias = conv.bias.value
+        self.bias_grad = np.zeros_like(self.bias)
+
+    def forward(self, x):
+        _, d, h, w = x.shape
+        wv = self.weight
+        if self.kernel == 1:
+            self._x = x
+            y = np.tensordot(wv[:, :, 0, 0, 0], x, axes=1)
+        else:
+            xp = np.zeros((self.in_channels, d + 2, h + 2, w + 2), dtype=x.dtype)
+            xp[:, 1:-1, 1:-1, 1:-1] = x
+            self._xp = xp
+            y = np.zeros((self.out_channels, d, h, w), dtype=x.dtype)
+            for dz in range(3):
+                for dy in range(3):
+                    for dx in range(3):
+                        y += np.tensordot(
+                            wv[:, :, dz, dy, dx],
+                            xp[:, dz:dz + d, dy:dy + h, dx:dx + w],
+                            axes=1)
+        return y + self.bias[:, None, None, None]
+
+    def backward(self, gy):
+        self.bias_grad += gy.sum(axis=(1, 2, 3))
+        wv = self.weight
+        if self.kernel == 1:
+            x = self._x
+            self.weight_grad[:, :, 0, 0, 0] += np.tensordot(
+                gy, x, axes=([1, 2, 3], [1, 2, 3]))
+            return np.tensordot(wv[:, :, 0, 0, 0].T, gy, axes=1)
+        xp = self._xp
+        _, d, h, w = gy.shape
+        gxp = np.zeros_like(xp)
+        for dz in range(3):
+            for dy in range(3):
+                for dx in range(3):
+                    window = xp[:, dz:dz + d, dy:dy + h, dx:dx + w]
+                    self.weight_grad[:, :, dz, dy, dx] += np.tensordot(
+                        gy, window, axes=([1, 2, 3], [1, 2, 3]))
+                    gxp[:, dz:dz + d, dy:dy + h, dx:dx + w] += np.tensordot(
+                        wv[:, :, dz, dy, dx].T, gy, axes=1)
+        return gxp[:, 1:-1, 1:-1, 1:-1]
+
+
 def fd_grad(loss_fn, arr, h=FD_H):
     """Central-difference gradient of a scalar function in every entry."""
     g = np.zeros(arr.shape, dtype=np.float64)
@@ -113,6 +168,24 @@ def test_conv3d_matches_loop_oracle():
         assert np.allclose(got, want, atol=1e-12)
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_conv3d_is_bit_identical_to_the_two_branch_reference():
+    for kernel in (1, 3):
+        for cin in (1, 16):
+            conv = Conv3d(cin, 8, kernel, rng_for(12, "w", kernel, cin))
+            conv.bias.value[:] = rng_for(12, "b", kernel, cin).standard_normal(8)
+            ref = reference_conv3d(conv)
+            x = rng_for(12, "x", kernel, cin).standard_normal((cin, 6, 5, 7)).astype(np.float32)
+            gy = rng_for(12, "gy", kernel, cin).standard_normal((8, 6, 5, 7)).astype(np.float32)
+            assert same_bits(conv.forward(x), ref.forward(x)), (kernel, cin)
+            assert same_bits(conv.backward(gy), ref.backward(gy)), (kernel, cin)
+            assert same_bits(conv.weight.grad, ref.weight_grad), (kernel, cin)
+            assert same_bits(conv.bias.grad, ref.bias_grad), (kernel, cin)
+
+
 def test_conv3d_rejects_bad_kernel_and_input():
     with pytest.raises(ValueError):
         Conv3d(1, 1, 2, rng_for(0, "w"))
@@ -184,6 +257,18 @@ def test_sequential_composite_gradients_match_finite_differences():
     ])
     x = away_from_zero(rng_for(26, "seq-fd"), (6, 4))
     check_layer_gradients(seq, x, seed=206)
+
+
+def test_layers_list_their_parameter_layers_in_order():
+    rng = rng_for(29, "w")
+    conv, lin, block = Conv3d(1, 2, 3, rng), Linear(2, 2, rng), ResBlockFC(2, rng)
+    seq = Sequential([conv, LeakyReLU(), Sequential([lin, block]), MaxPoolAxis()])
+    assert conv.param_layers() == [conv] and lin.param_layers() == [lin]
+    assert block.param_layers() == [block.fc1, block.fc2]
+    assert LeakyReLU().param_layers() == [] and Sigmoid().params() == []
+    assert seq.param_layers() == [conv, lin, block.fc1, block.fc2]
+    want = [p for layer in (conv, lin, block.fc1, block.fc2) for p in (layer.weight, layer.bias)]
+    assert seq.params() == want
 
 
 def test_maxpool_routes_gradient_to_argmax_only():
