@@ -9,37 +9,40 @@ Subcommands:
   eval   compare a predicted mesh against a ground-truth mesh
   stats  edge-topology statistics of a mesh file
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad files, missing
-inputs, diverged training). All randomness flows from a single --seed
-per subcommand; sub-seeds are derived with the library mixing function,
-so reruns with the same arguments produce byte-identical artifacts.
+`gen` writes each sample's input grid or cloud and its ground-truth
+signs, flags and vertex offsets to DATA/sample_NNN/. `train` reads those
+files back and rebuilds only the supervision masks, so it learns from
+exactly the values `infer` and `mesh` read.
 
-Each subcommand accepts --config FILE holding flat key=value lines
-(keys are the long option names with dashes or underscores). Values
-from the file act as defaults; explicit flags override them.
+Exit codes: 0 success, 1 usage error (including numbers outside an
+option's range), 2 data error (bad files, missing inputs, diverged
+training). All randomness flows from a single --seed per subcommand;
+sub-seeds are derived with the library mixing function, so reruns with
+the same arguments produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import fileio
-from .csg import CsgShape, csg_normal_fn, random_scene
-from .datagen import make_training_sample
+from .csg import csg_normal_fn, random_scene
+from .datagen import assemble_sample, make_training_sample
 from .dc import dc_extract
 from .errors import NdcMeshError
 from .grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
-                    VertexOffsetGrid, xor_flags)
+                    VertexOffsetGrid)
 from .mc import mc_extract
 from .mesh import QuadMesh, TriMesh, edge_topology_stats, split_quads
 from .metrics import evaluate_mesh
 from .ndc import close_holes, ndc_extract, undc_extract
-from .nn import GRID_VARIANTS, TrainConfig, train_network
+from .nn import TrainConfig, train_network
 from .rng import derive_seed
 
 MANIFEST_NAME = "manifest.txt"
@@ -90,43 +93,41 @@ def _manifest_dims(manifest: dict) -> GridDims:
     return GridDims(r, r, r)
 
 
-def _source_for(manifest: dict, index: int):
-    """Recreate the shape a sample was generated from."""
-    obj = manifest.get("obj", "")
-    if obj:
-        verts, faces, _ = fileio.read_obj(obj)
-        return fileio.as_tri_mesh(verts, faces)
-    res = int(manifest["res"])
+def _csg_scene(manifest: dict, index: int):
+    """The CSG scene `gen` built sample `index` from."""
     scene_seed = derive_seed(int(manifest["csg_seed"]), "scene", index)
-    return random_scene(scene_seed, float(res - 1))
+    return random_scene(scene_seed, float(int(manifest["res"]) - 1))
 
 
-def _regenerate_samples(manifest: dict) -> list:
-    """Rebuild the TrainingSamples a manifest describes.
-
-    Masks and raw grids are deterministic functions of the recorded
-    parameters, so only the manifest needs to live on disk.
-    """
-    dims = _manifest_dims(manifest)
-    kind = KIND_NAMES[manifest["kind"]]
-    seed = int(manifest["seed"])
-    count = int(manifest["count"])
-    cloud_size = int(manifest["cloud_size"])
-    noise_sigma = float(manifest["noise_sigma"])
-    samples = []
-    for i in range(count):
-        source = _source_for(manifest, i)
-        samples.append(make_training_sample(
-            source, dims, kind=kind, seed=derive_seed(seed, "sample", i),
-            cloud_size=cloud_size, noise_sigma=noise_sigma))
-    return samples
-
-
-def _expect(obj, cls, what: str, path: str):
+def _read_grid(path: str, cls, what: str, kind: GridKind = GridKind.SDF):
+    """Read an NDCGRID file that must hold a `cls`."""
+    obj = fileio.read_grid(path, kind)
     if not isinstance(obj, cls):
         raise NdcMeshError(
             f"{path} holds {type(obj).__name__}, expected {cls.__name__} for {what}")
     return obj
+
+
+def _load_samples(data: str, manifest: dict) -> list:
+    """The TrainingSamples `gen` wrote to `data`; only the masks are rebuilt."""
+    dims = _manifest_dims(manifest)
+    kind = KIND_NAMES[manifest["kind"]]
+    samples = []
+    for i in range(int(manifest["count"])):
+        sdir = _sample_dir(data, i)
+        grid = cloud = None
+        if kind == "points":
+            cloud = fileio.read_xyz(os.path.join(sdir, "cloud.xyz"))
+        else:
+            grid = _read_grid(os.path.join(sdir, "input.ndcg"), ScalarGrid,
+                              "an input grid", kind)
+        samples.append(assemble_sample(
+            dims, kind, grid, cloud,
+            _read_grid(os.path.join(sdir, "gt_signs.ndcg"), SignGrid, "signs"),
+            _read_grid(os.path.join(sdir, "gt_flags.ndcg"), EdgeField, "edge flags"),
+            _read_grid(os.path.join(sdir, "gt_vertices.ndcg"), VertexOffsetGrid,
+                       "vertex offsets")))
+    return samples
 
 
 def _as_tri(mesh) -> TriMesh:
@@ -141,33 +142,31 @@ def _face_count(mesh) -> int:
     return len(mesh.tris) if isinstance(mesh, TriMesh) else len(mesh.quads)
 
 
-def _infer_with(net, sdir: str, manifest: dict):
-    """Run a loaded network on the stored input of one sample."""
+def _predict(net, grid_path: str, cloud_path: str, res: int, kind=None):
+    """Run a loaded network on a stored grid (read as `kind`, by default
+    the network's own input kind) or, for a point network, a stored cloud."""
     if net.variant == "pc_encoder":
-        cloud_path = os.path.join(sdir, "cloud.xyz")
-        cloud = fileio.read_xyz(cloud_path)
-        return net.predict(cloud, _manifest_dims(manifest))
-    input_kind = GridKind.OCC if GRID_VARIANTS[net.variant][0] == "occ" else GridKind.SDF
-    if manifest.get("kind") == "udf":
-        input_kind = GridKind.UDF
-    grid = fileio.read_grid(os.path.join(sdir, "input.ndcg"), input_kind)
-    return net.predict(grid)
+        return net.predict(fileio.read_xyz(cloud_path), GridDims(res, res, res))
+    if kind is None:
+        kind = GridKind.OCC if net.input_kind == "occ" else GridKind.SDF
+    return net.predict(fileio.read_grid(grid_path, kind))
 
 
 def _resolve_field(explicit, data: str, sdir: str, head: str, gt_name: str,
                    cls, what: str):
     """Load a prediction field: explicit file > trained weights > GT file."""
     if explicit:
-        return _expect(fileio.read_grid(explicit), cls, what, explicit)
+        return _read_grid(explicit, cls, what)
     manifest = _load_manifest(data)
     for stem in WEIGHT_STEMS[head]:
         wpath = os.path.join(data, stem + ".ndcw")
         if os.path.exists(wpath):
-            net = fileio.load_weights(wpath)
-            return _infer_with(net, sdir, manifest)
+            kind = GridKind.UDF if manifest.get("kind") == "udf" else None
+            return _predict(fileio.load_weights(wpath), os.path.join(sdir, "input.ndcg"),
+                            os.path.join(sdir, "cloud.xyz"), int(manifest["res"]), kind)
     gt_path = os.path.join(sdir, gt_name)
     if os.path.exists(gt_path):
-        return _expect(fileio.read_grid(gt_path), cls, what, gt_path)
+        return _read_grid(gt_path, cls, what)
     raise FileNotFoundError(f"no {what}: pass a file, or train a {head} head")
 
 
@@ -189,8 +188,9 @@ def cmd_gen(args) -> None:
     }
     fileio.write_report(os.path.join(args.out, MANIFEST_NAME), manifest)
 
+    mesh = fileio.as_tri_mesh(*fileio.read_obj(args.obj)[:2]) if args.obj else None
     for i in range(args.count):
-        source = _source_for(manifest, i)
+        source = mesh if mesh is not None else _csg_scene(manifest, i)
         sample = make_training_sample(
             source, dims, kind=KIND_NAMES[kind],
             seed=derive_seed(args.seed, "sample", i),
@@ -230,9 +230,9 @@ def cmd_train(args) -> None:
             raise UsageError(f"no {args.head} head for --variant {input_name}")
         stem = variant
 
-    samples = _regenerate_samples(manifest)
+    samples = _load_samples(args.data, manifest)
     if args.steps is not None:
-        epochs = max(1, -(-args.steps // len(samples)))
+        epochs = -(-args.steps // len(samples))
     else:
         epochs = args.epochs
     config = TrainConfig(
@@ -260,16 +260,9 @@ def cmd_infer(args) -> None:
                 raise UsageError(f"{wpath} is a point-cloud network; pass --cloud")
             if args.res is None:
                 raise UsageError("--res is required with --cloud")
-            cloud = fileio.read_xyz(args.cloud)
-            pred = net.predict(cloud, GridDims(args.res, args.res, args.res))
-        else:
-            if not args.grid:
-                raise UsageError(f"{wpath} is a grid network; pass --grid")
-            if args.grid_kind:
-                kind = KIND_NAMES[args.grid_kind]
-            else:
-                kind = GridKind.OCC if GRID_VARIANTS[net.variant][0] == "occ" else GridKind.SDF
-            pred = net.predict(fileio.read_grid(args.grid, kind))
+        elif not args.grid:
+            raise UsageError(f"{wpath} is a grid network; pass --grid")
+        pred = _predict(net, args.grid, args.cloud, args.res, KIND_NAMES.get(args.grid_kind))
         out = args.out_prefix + suffix[net.head]
         fileio.write_grid(out, pred)
         print(f"{net.variant}/{net.head} -> {out}")
@@ -282,13 +275,8 @@ def cmd_mesh(args) -> None:
     if args.mode in ("dc", "dc-est", "mc"):
         if args.close_holes:
             print("note: --close-holes only applies to undc", file=sys.stderr)
-        if args.sdf:
-            grid = _expect(fileio.read_grid(args.sdf, GridKind.SDF),
-                           ScalarGrid, "a scalar grid", args.sdf)
-        else:
-            path = os.path.join(sdir, "input.ndcg")
-            grid = _expect(fileio.read_grid(path, GridKind.SDF),
-                           ScalarGrid, "a scalar grid", path)
+        grid = _read_grid(args.sdf or os.path.join(sdir, "input.ndcg"),
+                          ScalarGrid, "a scalar grid")
         if args.mode == "mc":
             mesh = mc_extract(grid, args.iso)
         elif args.mode == "dc-est":
@@ -296,11 +284,11 @@ def cmd_mesh(args) -> None:
         else:
             # exact normals come from the generating CSG scene
             manifest = _load_manifest(args.data)
-            source = _source_for(manifest, args.sample)
-            if not isinstance(source, CsgShape):
+            if manifest.get("obj"):
                 raise NdcMeshError("mode dc needs analytic normals from a CSG "
                                    "scene; use dc-est for mesh-derived grids")
-            mesh = dc_extract(grid, csg_normal_fn(source), args.iso)
+            scene = _csg_scene(manifest, args.sample)
+            mesh = dc_extract(grid, csg_normal_fn(scene), args.iso)
     elif args.mode == "ndc":
         if args.close_holes:
             print("note: --close-holes only applies to undc", file=sys.stderr)
@@ -369,55 +357,70 @@ def cmd_stats(args) -> None:
 # parser
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", help="key=value file of defaults")
-    sub.add_argument("--seed", type=int, default=0, help="top-level seed")
+def _number(cast, low=None):
+    """argparse type: a finite `cast` value, at least `low` when given."""
+    rule = "a finite number" + ("" if low is None else f" >= {low}")
+
+    def parse(text: str):
+        value = cast(text)
+        if not math.isfinite(value) or (low is not None and value < low):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def build_parser():
+COUNT = _number(int, 1)
+NON_NEGATIVE = _number(float, 0)
+FINITE = _number(float)
+
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="ndcmesh", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", metavar="command")
-    table = {}
+    subs = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    g = table["gen"] = subs.add_parser("gen", help="generate training samples")
+    def subcommand(name: str, func, summary: str):
+        sub = subs.add_parser(name, help=summary)
+        sub.add_argument("--seed", type=int, default=0, help="top-level seed")
+        sub.set_defaults(func=func)
+        return sub
+
+    g = subcommand("gen", cmd_gen, "generate training samples")
     g.add_argument("--out", default="runs", help="output dataset directory")
-    g.add_argument("--count", type=int, default=1, help="number of samples")
+    g.add_argument("--count", type=COUNT, default=1, help="number of samples")
     g.add_argument("--res", type=int, default=32, help="grid resolution per axis")
     g.add_argument("--kind", choices=sorted(KIND_NAMES), default="sdf",
                    help="network input kind")
     g.add_argument("--csg-seed", type=int, default=None,
                    help="scene seed (default: derived from --seed)")
-    g.add_argument("--cloud-size", type=int, default=4096,
+    g.add_argument("--cloud-size", type=COUNT, default=4096,
                    help="points per cloud (kind=points)")
-    g.add_argument("--noise-sigma", type=float, default=0.0,
+    g.add_argument("--noise-sigma", type=NON_NEGATIVE, default=0.0,
                    help="cloud noise, in cell units")
     g.add_argument("--obj", help="build samples from this OBJ instead of CSG")
-    _add_common(g)
-    g.set_defaults(func=cmd_gen)
 
-    t = table["train"] = subs.add_parser("train", help="train one network head")
+    t = subcommand("train", cmd_train, "train one network head")
     t.add_argument("--data", default="runs", help="dataset directory from gen")
-    t.add_argument("--head", choices=sorted(HEAD_NAMES))
+    t.add_argument("--head", choices=sorted(HEAD_NAMES), required=True)
     t.add_argument("--variant", choices=["sdf", "udf", "voxel", "points"],
                    default=None, help="input variant (default: dataset kind)")
-    t.add_argument("--steps", type=int, default=None,
+    t.add_argument("--steps", type=COUNT, default=None,
                    help="optimizer steps (rounded up to whole epochs)")
-    t.add_argument("--epochs", type=int, default=400)
-    t.add_argument("--channels", type=int, default=24,
+    t.add_argument("--epochs", type=COUNT, default=400)
+    t.add_argument("--channels", type=COUNT, default=24,
                    help="network width (small default keeps CPU runs quick)")
-    t.add_argument("--lr", type=float, default=1e-4)
-    t.add_argument("--halve-every", type=int, default=100,
+    t.add_argument("--lr", type=NON_NEGATIVE, default=1e-4)
+    t.add_argument("--halve-every", type=_number(int, 0), default=100,
                    help="halve lr every N epochs (0 disables)")
     t.add_argument("--augment", action="store_true",
                    help="random transform per sample per epoch")
-    t.add_argument("--stop-below", type=float, default=None,
+    t.add_argument("--stop-below", type=FINITE, default=None,
                    help="stop once the epoch loss drops below this")
     t.add_argument("--out", help="weights file (default: DATA/<variant>.ndcw)")
-    _add_common(t)
-    t.set_defaults(func=cmd_train)
 
-    i = table["infer"] = subs.add_parser("infer", help="run trained networks")
-    i.add_argument("--weights", action="append",
+    i = subcommand("infer", cmd_infer, "run trained networks")
+    i.add_argument("--weights", action="append", required=True,
                    help="weights file (repeatable)")
     i.add_argument("--grid", help="input NDCGRID scalar grid")
     i.add_argument("--grid-kind", choices=["sdf", "udf", "voxel"], default=None)
@@ -425,102 +428,42 @@ def build_parser():
     i.add_argument("--res", type=int, default=None,
                    help="output grid resolution for --cloud")
     i.add_argument("--out-prefix", default="pred")
-    _add_common(i)
-    i.set_defaults(func=cmd_infer)
 
-    m = table["mesh"] = subs.add_parser("mesh", help="extract a mesh")
-    m.add_argument("--mode", choices=["dc", "dc-est", "mc", "ndc", "undc"])
+    m = subcommand("mesh", cmd_mesh, "extract a mesh")
+    m.add_argument("--mode", choices=["dc", "dc-est", "mc", "ndc", "undc"], required=True)
     m.add_argument("--data", default="runs", help="dataset directory")
     m.add_argument("--sample", type=int, default=0, help="sample index")
     m.add_argument("--sdf", help="scalar grid file (dc/dc-est/mc)")
     m.add_argument("--signs", help="sign grid file (ndc)")
     m.add_argument("--flags", help="edge flag file (undc)")
     m.add_argument("--offsets", help="vertex offset file (ndc/undc)")
-    m.add_argument("--iso", type=float, default=0.0)
+    m.add_argument("--iso", type=FINITE, default=0.0)
     m.add_argument("--close-holes", action="store_true",
                    help="repair isolated missing flags before undc")
     m.add_argument("--tri-seed", type=int, default=None,
                    help="split quads into triangles with this seed")
     m.add_argument("-o", "--out", help="output .obj or .ply")
-    _add_common(m)
-    m.set_defaults(func=cmd_mesh)
 
-    e = table["eval"] = subs.add_parser("eval", help="compare two meshes")
+    e = subcommand("eval", cmd_eval, "compare two meshes")
     e.add_argument("pred", nargs="?", help="predicted mesh (.obj/.ply)")
     e.add_argument("gt", nargs="?", help="ground-truth mesh")
     e.add_argument("--data", default="runs", help="dataset directory defaults")
     e.add_argument("--sample", type=int, default=0)
-    e.add_argument("--samples", type=int, default=20000,
+    e.add_argument("--samples", type=COUNT, default=20000,
                    help="surface samples per mesh")
     e.add_argument("-o", "--out", help="write the report here too")
     e.add_argument("--csv", help="append one row to this CSV")
-    _add_common(e)
-    e.set_defaults(func=cmd_eval)
 
-    s = table["stats"] = subs.add_parser("stats", help="mesh topology stats")
+    s = subcommand("stats", cmd_stats, "mesh topology stats")
     s.add_argument("mesh", help="mesh file (.obj/.ply)")
     s.add_argument("-o", "--out", help="write the report here too")
-    _add_common(s)
-    s.set_defaults(func=cmd_stats)
 
-    return parser, table
-
-
-def _coerce_config(sub, values: dict) -> dict:
-    """Map config-file strings onto a subparser's defaults."""
-    known = {}
-    for action in sub._actions:
-        if action.dest in ("help", "config"):
-            continue
-        known[action.dest] = action
-    out = {}
-    for raw_key, raw in values.items():
-        key = raw_key.replace("-", "_")
-        if key not in known:
-            raise NdcMeshError(f"unknown config key: {raw_key}")
-        action = known[key]
-        if isinstance(action, argparse._StoreTrueAction):
-            out[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            out[key] = action.type(raw)
-        else:
-            out[key] = raw
-    return out
-
-
-# flags that must be present after config defaults are folded in
-_REQUIRED = {"train": ["head"], "infer": ["weights"], "mesh": ["mode"]}
-
-
-def _config_path(argv) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+    return parser
 
 
 def cli_main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser, table = build_parser()
     try:
-        # fold config-file values in as defaults before the real parse,
-        # so explicit flags override them and required checks see both
-        command = next((a for a in argv if not a.startswith("-")), None)
-        config = _config_path(argv)
-        if config and command in table:
-            sub = table[command]
-            sub.set_defaults(**_coerce_config(sub, fileio.read_report(config)))
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return 1
-        for dest in _REQUIRED.get(args.command, []):
-            if getattr(args, dest) in (None, []):
-                table[args.command].error(
-                    f"the following arguments are required: --{dest}")
+        args = build_parser().parse_args(argv)
         args.func(args)
     except SystemExit as exc:  # argparse: -h exits 0, usage errors exit 1
         return int(exc.code or 0)

@@ -511,11 +511,29 @@ def plane_sheet_mesh(dims: GridDims, axis: int = 2, coord: float = None) -> TriM
     return TriMesh(verts, tris)
 
 
+def assemble_sample(
+    dims: GridDims,
+    kind: GridKind | str,
+    grid: ScalarGrid | None,
+    cloud: np.ndarray | None,
+    gt_signs: SignGrid,
+    gt_flags: EdgeField,
+    gt_offsets: VertexOffsetGrid,
+) -> TrainingSample:
+    """A sample from its input and ground truth; only the masks are built.
+
+    kind is the network input: a scalar grid kind or "points". The mode
+    is "ndc" for signed inputs and "undc" for UDF and point clouds.
+    """
+    mode = "undc" if kind in ("points", GridKind.UDF) else "ndc"
+    masks = build_masks(dims, mode, grid=grid, gt_signs=gt_signs, gt_flags=gt_flags, cloud=cloud)
+    return TrainingSample(dims, mode, grid, cloud, gt_signs, gt_flags, gt_offsets, masks)
+
+
 def make_training_sample(
     source: CsgShape | TriMesh,
     dims: GridDims,
     kind: GridKind | str = GridKind.SDF,
-    mode: str | None = None,
     seed: int = 0,
     cloud_size: int = 4096,
     noise_sigma: float = 0.0,
@@ -523,14 +541,10 @@ def make_training_sample(
     """Build one complete sample from a CSG scene or a triangle mesh.
 
     kind selects the network input: a scalar grid kind or "points".
-    mode defaults to "ndc" for signed inputs and "undc" for UDF and
-    point clouds.
     """
     wants_cloud = kind == "points"
     if not wants_cloud:
         kind = GridKind(kind) if isinstance(kind, str) else kind
-    if mode is None:
-        mode = "undc" if wants_cloud or kind == GridKind.UDF else "ndc"
 
     flags, tvals, normals = gt_edge_data(source, dims)
     offsets = pseudo_gt_vertices(tvals, normals, dims)
@@ -562,8 +576,7 @@ def make_training_sample(
     if wants_cloud:
         cloud = sample_point_cloud(source, cloud_size, noise_sigma, seed)
 
-    masks = build_masks(dims, mode, grid=grid, gt_signs=gt_signs, gt_flags=flags, cloud=cloud)
-    return TrainingSample(dims, mode, grid, cloud, gt_signs, flags, offsets, masks)
+    return assemble_sample(dims, kind, grid, cloud, gt_signs, flags, offsets)
 
 
 def augment_sample(sample: TrainingSample, transform_id: int) -> TrainingSample:

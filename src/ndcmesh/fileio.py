@@ -17,7 +17,12 @@ NDCW stores network weights: magic "NDCW", version 0x01, variant and
 head code bytes, u32 channels, u8 residual block count, u16 layer
 count, then per parametric layer a header (kind byte, u32 in, u32 out,
 kernel byte) followed by f32 weights in (out, in, kz, ky, kx) order and
-f32 biases.
+f32 biases. Non-finite weights raise NonFiniteValues on save and on load.
+
+Precision: OBJ vertices and .xyz points are text with 9 significant
+digits; NDCGRID reals and PLY vertices are float32. Readers return
+float64 arrays of those stored values. Training learns from what `gen`
+stored, so it sees the same numbers that inference and meshing read.
 """
 
 import math
@@ -317,8 +322,15 @@ def read_grid(path, kind: GridKind = GridKind.SDF):
 
 # --------------------------------------------------------------- NDCW
 
+def _check_finite(path, index: int, layer) -> None:
+    if not (np.isfinite(layer.weight.value).all() and np.isfinite(layer.bias.value).all()):
+        raise NonFiniteValues(f"{path}: layer {index} holds non-finite weights")
+
+
 def save_weights(path, net) -> None:
     layers = net.param_layers()
+    for index, layer in enumerate(layers):
+        _check_finite(path, index, layer)
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(bytes([WEIGHTS_VERSION]))
@@ -359,7 +371,7 @@ def load_weights(path):
         raise GridFormatError(
             f"{path}: {n_layers} layers in file, architecture has {len(layers)}")
     ofs = 14
-    for layer in layers:
+    for index, layer in enumerate(layers):
         if ofs + 10 > len(data):
             raise TruncatedPayload(f"{path}: layer header truncated")
         kind_code, fin, fout, kernel = struct.unpack_from("<BIIB", data, ofs)
@@ -383,6 +395,7 @@ def load_weights(path):
         ofs += 4 * nw
         b[...] = np.frombuffer(data, "<f4", nb, ofs).reshape(b.shape)
         ofs += 4 * nb
+        _check_finite(path, index, layer)
     if ofs != len(data):
         raise GridFormatError(f"{path}: {len(data) - ofs} unexpected trailing bytes")
     return net

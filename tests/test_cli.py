@@ -69,3 +69,88 @@ def test_usage_and_data_errors_exit_1_and_2(tmp_path, capsys):
     assert cli_main(["gen", "--out", obj, "--obj", str(tmp_path / "mc.obj"), "--res", "12"]) == 0
     assert cli_main(["mesh", "--mode", "dc", "--data", obj]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def small_dataset(root) -> str:
+    data = str(root / "csg")
+    assert cli_main(["gen", "--out", data, "--res", "10", "--seed", "4"]) == 0
+    return data
+
+
+def test_train_reads_the_stored_samples_not_their_source(tmp_path):
+    data = small_dataset(tmp_path)
+    obj = str(tmp_path / "shape.obj")
+    mesh_data = str(tmp_path / "mesh")
+    assert cli_main(["mesh", "--mode", "mc", "--data", data, "-o", obj]) == 0
+    assert cli_main(["gen", "--out", mesh_data, "--obj", obj, "--res", "10"]) == 0
+    os.remove(obj)
+    assert cli_main(["train", "--data", mesh_data, "--head", "vertices",
+                     "--steps", "1", "--channels", "4"]) == 0
+
+
+def test_config_is_not_an_option(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a `gen` that accepted it would write ./runs
+    config = tmp_path / "x.txt"
+    config.write_text("seed=1\n")
+    for command in ("gen", "train", "infer", "mesh", "eval", "stats"):
+        assert cli_main([command, "--config", str(config)]) == 1, command
+
+
+def test_numbers_outside_an_options_range_are_usage_errors(tmp_path, capsys):
+    data = small_dataset(tmp_path)
+    train = ["train", "--data", data, "--head", "vertices"]
+    gen = ["gen", "--out", str(tmp_path / "unused")]
+    rejected = [
+        train + ["--epochs", "0"], train + ["--channels", "0"],
+        train + ["--steps", "0"], train + ["--steps", "-3"],
+        train + ["--lr", "nan"], train + ["--lr", "inf"], train + ["--lr", "-1e-3"],
+        train + ["--halve-every", "-1"], train + ["--stop-below", "nan"],
+        gen + ["--count", "0"], gen + ["--noise-sigma", "-1"],
+        gen + ["--kind", "points", "--cloud-size", "0"],
+        ["mesh", "--mode", "mc", "--data", data, "--iso", "inf"],
+        ["eval", "--data", data, "--samples", "0"],
+    ]
+    for argv in rejected:
+        assert cli_main(argv) == 1, argv
+    assert "Traceback" not in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "unused"))
+    # lr 0 and no lr halving stay legal
+    assert cli_main(train + ["--steps", "1", "--channels", "4", "--lr", "0",
+                             "--halve-every", "0"]) == 0
+
+
+def test_eval_csv_writes_its_header_once_and_appends_rows(tmp_path):
+    data = small_dataset(tmp_path)
+    assert cli_main(["mesh", "--mode", "ndc", "--data", data]) == 0
+    table = str(tmp_path / "eval.csv")
+    for _ in range(2):
+        assert cli_main(["eval", "--data", data, "--samples", "500", "--csv", table]) == 0
+    with open(table) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("pred,gt,cd,")
+    assert lines[1] == lines[2]
+
+
+def test_tri_seed_writes_the_same_triangle_mesh_on_every_run(tmp_path):
+    data = small_dataset(tmp_path)
+    outputs = []
+    for name in ("a.obj", "b.obj"):
+        out = str(tmp_path / name)
+        assert cli_main(["mesh", "--mode", "ndc", "--data", data,
+                         "--tri-seed", "7", "-o", out]) == 0
+        with open(out) as fh:
+            outputs.append(fh.read())
+    assert outputs[0] == outputs[1]
+    faces = [line.split()[1:] for line in outputs[0].splitlines() if line.startswith("f ")]
+    assert faces and all(len(face) == 3 for face in faces)
+
+
+def test_stop_below_ends_training_early(tmp_path, capsys):
+    data = small_dataset(tmp_path)
+    train = ["train", "--data", data, "--head", "vertices", "--epochs", "3",
+             "--channels", "4"]
+    assert cli_main(train) == 0
+    assert " 3 epochs " in capsys.readouterr().out
+    assert cli_main(train + ["--stop-below", "1e9"]) == 0
+    assert " 1 epochs " in capsys.readouterr().out

@@ -114,3 +114,30 @@ def test_corrupt_weights_raise_their_typed_error(tmp_path):
             with pytest.raises(GridFormatError) as err:
                 load_weights(bad)
             assert type(err.value) is error, (net.variant, name, err.value)
+
+
+def test_saving_non_finite_weights_raises_and_writes_nothing(tmp_path):
+    for net, _ in small_networks():
+        for bad_value in (np.nan, np.inf):
+            net.param_layers()[-1].bias.value[0] = bad_value
+            path = tmp_path / "bad.ndcw"
+            with pytest.raises(NonFiniteValues):
+                save_weights(path, net)
+            assert not path.exists(), net.variant
+
+
+def test_loading_non_finite_weights_raises(tmp_path):
+    first_weight = 14 + 10
+    for net, _ in small_networks():
+        good = tmp_path / "good.ndcw"
+        save_weights(good, net)
+        data = good.read_bytes()
+        for bad_value in (np.nan, -np.inf):
+            word = struct.pack("<f", bad_value)
+            # the first weight of the first layer, and the last bias of the last
+            for bad in (data[:first_weight] + word + data[first_weight + 4:],
+                        data[:-4] + word):
+                path = tmp_path / "bad.ndcw"
+                path.write_bytes(bad)
+                with pytest.raises(NonFiniteValues):
+                    load_weights(path)
