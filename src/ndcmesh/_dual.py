@@ -1,13 +1,17 @@
 """The edge-cell ring and the face assembly of every dual extractor.
 
 `edge_ring` is the one definition of the four cells around an edge (see
-the conventions in grids.py); active cells, quads, per-cell constraints
-and occupancy masks all read it. A cell owning at least one flagged
-edge gets one mesh vertex. Every flagged edge whose four surrounding
-cells all exist becomes one quad joining those cells' vertices in ring
-order, so the quad normal follows the edge axis; an optional sign grid
-reverses faces whose upper endpoint is inside so that normals point
-outward.
+the conventions in grids.py). Its readers: active cells and quads
+(here), per-cell DC constraints (`dc`), occupancy edge masks
+(`datagen.build_masks`), hole closing (`ndc._face_counts` and
+`ndc.close_holes`) and the cell-owned edges that the flag networks
+learn and predict (`edge_field_to_cells`, `cells_to_edge_field`).
+
+A cell owning at least one flagged edge gets one mesh vertex. Every
+flagged edge whose four surrounding cells all exist becomes one quad
+joining those cells' vertices in ring order, so the quad normal follows
+the edge axis; an optional sign grid reverses faces whose upper
+endpoint is inside so that normals point outward.
 
 Determinism: cells are numbered x-fastest (then y, then z) and faces are
 emitted axis x, then y, then z, each block in the same memory order.
@@ -17,8 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import EdgeField, SignGrid, VertexOffsetGrid
+from .errors import ShapeError
+from .grids import EdgeField, GridDims, SignGrid, VertexOffsetGrid
 from .mesh import QuadMesh
+
+OWNED_SLOT = 2  # the edge_ring slot with zero offset: the edge at a cell's min corner
 
 
 def edge_ring(axis: int) -> np.ndarray:
@@ -60,6 +67,29 @@ def cell_edges(edge_arr: np.ndarray, axis: int, cell_shape) -> list[np.ndarray]:
     q - edge_ring(axis)[s] for cell q.
     """
     return [_window(edge_arr, -r, cell_shape) for r in edge_ring(axis)]
+
+
+def edge_field_to_cells(field: EdgeField) -> np.ndarray:
+    """Gather the cell-owned edges of a field into a (3, cells) array."""
+    shape = field.dims.cell_shape
+    return np.stack([cell_edges(np.asarray(field.axis(a)), a, shape)[OWNED_SLOT]
+                     for a in range(3)])
+
+
+def cells_to_edge_field(values: np.ndarray, dims: GridDims) -> EdgeField:
+    """Scatter (3, cells) per-cell edge values back to a full field.
+
+    Border edges owned by no cell are zero (false).
+    """
+    if values.shape != (3,) + dims.cell_shape:
+        raise ShapeError(
+            f"cell edge array must be (3,)+{dims.cell_shape}, got {values.shape}")
+    parts = []
+    for a in range(3):
+        arr = np.zeros(dims.edge_shape(a), dtype=values.dtype)
+        cell_edges(arr, a, dims.cell_shape)[OWNED_SLOT][...] = values[a]
+        parts.append(arr)
+    return EdgeField(dims, *parts)
 
 
 def active_cell_mask(flags: EdgeField) -> np.ndarray:

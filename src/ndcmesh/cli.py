@@ -29,8 +29,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import fileio
 from .csg import csg_normal_fn, random_scene
 from .datagen import assemble_sample, make_training_sample
@@ -134,8 +132,7 @@ def _as_tri(mesh) -> TriMesh:
     """Deterministic quad split for metric evaluation."""
     if isinstance(mesh, TriMesh):
         return mesh
-    faces = list(np.asarray(mesh.quads, dtype=np.int64))
-    return fileio.as_tri_mesh(mesh.vertices, faces)
+    return TriMesh(mesh.vertices, mesh.quads[:, [0, 1, 2, 0, 2, 3]])
 
 
 def _face_count(mesh) -> int:
@@ -216,8 +213,8 @@ def cmd_gen(args) -> None:
 def cmd_train(args) -> None:
     manifest = _load_manifest(args.data)
     head = HEAD_NAMES[args.head]
-    input_name = args.variant or manifest["kind"]
-    if input_name == "points":
+    kind = manifest["kind"]
+    if kind == "points":
         if head == "sign":
             raise UsageError("point-cloud networks have no sign head; "
                              "use --head flags or --head vertices")
@@ -225,9 +222,9 @@ def cmd_train(args) -> None:
         stem = "pc_" + head[0]
     else:
         try:
-            variant = VARIANT_KEYS[(input_name, head)]
+            variant = VARIANT_KEYS[(kind, head)]
         except KeyError:
-            raise UsageError(f"no {args.head} head for --variant {input_name}")
+            raise UsageError(f"no {args.head} head for {kind} datasets")
         stem = variant
 
     samples = _load_samples(args.data, manifest)
@@ -403,8 +400,6 @@ def build_parser() -> _Parser:
     t = subcommand("train", cmd_train, "train one network head")
     t.add_argument("--data", default="runs", help="dataset directory from gen")
     t.add_argument("--head", choices=sorted(HEAD_NAMES), required=True)
-    t.add_argument("--variant", choices=["sdf", "udf", "voxel", "points"],
-                   default=None, help="input variant (default: dataset kind)")
     t.add_argument("--steps", type=COUNT, default=None,
                    help="optimizer steps (rounded up to whole epochs)")
     t.add_argument("--epochs", type=COUNT, default=400)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from ._dual import active_cell_mask, interior_edges, ring_cells
+from ._dual import active_cell_mask, cells_to_edge_field, interior_edges, ring_cells
 from .csg import CsgShape, csg_gradient
 from .dc import qef_cell_offsets
 from .errors import EmptyMesh, InvalidKind, OpenMeshError, ShapeError, TooFewPoints
@@ -25,12 +25,12 @@ from .grids import (
     ScalarGrid,
     SignGrid,
     VertexOffsetGrid,
-    cells_to_edge_field,
     edge_ends,
     signs_from_scalar,
     unit_normals,
     xor_flags,
 )
+from .mc_tables import CORNER_OFFSETS
 from .mesh import TriMesh, edge_topology_stats, sample_triangles
 from .rng import rng_for
 
@@ -412,10 +412,8 @@ def build_masks(
         padded = np.pad(occ, 1, constant_values=False)
         eroded = ndimage.minimum_filter(padded.astype(np.int8), size=3)[1:-1, 1:-1, 1:-1] > 0
         surface_cells = occ & ~eroded
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    m_s[dx : dx + occ.shape[0], dy : dy + occ.shape[1], dz : dz + occ.shape[2]] |= surface_cells
+        for corner in CORNER_OFFSETS:
+            m_s[tuple(slice(o, o + n) for o, n in zip(corner, occ.shape))] |= surface_cells
         # edges whose four surrounding cells are all occupied
         for a in range(3):
             m_f.axis(a)[interior_edges(a)] = np.logical_and.reduce(ring_cells(occ, a))

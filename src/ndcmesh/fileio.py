@@ -60,11 +60,11 @@ _LAYER_KINDS = {3: 1, 1: 2, 0: 3}
 
 def write_obj(path, mesh: QuadMesh | TriMesh) -> None:
     faces = mesh.quads if isinstance(mesh, QuadMesh) else mesh.tris
+    vertex_rows = "v %.9g %.9g %.9g\n" * len(mesh.vertices)
+    face_rows = ("f" + " %d" * faces.shape[1] + "\n") * len(faces)
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for f in faces:
-            fh.write("f " + " ".join(str(i + 1) for i in f) + "\n")
+        fh.write(vertex_rows % tuple(mesh.vertices.ravel().tolist()))
+        fh.write(face_rows % tuple((faces + 1).ravel().tolist()))
 
 
 def read_obj(path):
@@ -164,11 +164,10 @@ def write_ply(path, mesh: QuadMesh | TriMesh) -> None:
         fh.write(header.encode("ascii"))
         fh.write(mesh.vertices.astype("<f4").tobytes())
         n = faces.shape[1]
-        counts = np.full((len(faces), 1), n, dtype=np.uint8)
-        idx = faces.astype("<i4")
-        rows = b"".join(counts[i].tobytes() + idx[i].tobytes()
-                        for i in range(len(faces)))
-        fh.write(rows)
+        rows = np.empty(len(faces), dtype=[("n", "u1"), ("i", "<i4", (n,))])
+        rows["n"] = n
+        rows["i"] = faces
+        fh.write(rows.tobytes())
 
 
 def read_ply(path):

@@ -13,7 +13,11 @@ Conventions used across the package:
   cells p + r, where r is 0 along a and runs over (-1, -1), (0, -1),
   (0, 0), (-1, 0) along ((a + 1) % 3, (a + 2) % 3): counter-clockwise
   viewed from +a. Read the other way, cell q has the four edges q - r
-  along a. `_dual.edge_ring` holds this table.
+  along a, and the slot with r = 0 is the edge the cell owns.
+  `_dual.edge_ring` holds this table, and every lattice incidence reads
+  it: active cells and quads (`_dual`), per-cell DC constraints (`dc`),
+  occupancy edge masks (`datagen`), hole closing (`ndc`) and the
+  cell-owned edges the flag networks learn (`_dual.edge_field_to_cells`).
 * A vertex is inside the shape when its scalar value is strictly below
   the iso level; a value exactly at the level counts as outside.
 * Serialized payloads are laid out x-fastest, then y, then z (Fortran
@@ -206,34 +210,6 @@ def edge_ends(arr: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 def xor_flags(signs: SignGrid) -> EdgeField:
     """Edge crossing flags: true exactly where the two endpoint signs differ."""
     return EdgeField(signs.dims, *(np.not_equal(*edge_ends(signs.inside, a)) for a in range(3)))
-
-
-def _cell_owned_edges(dims: GridDims, axis: int) -> tuple[slice, slice, slice]:
-    """Index of the edges along `axis` that start at some cell's min corner."""
-    sl = [slice(0, s) for s in dims.cell_shape]
-    sl[axis] = slice(None)
-    return tuple(sl)
-
-
-def edge_field_to_cells(field: EdgeField) -> np.ndarray:
-    """Gather the cell-owned edges of a field into a (3, cells) array."""
-    return np.stack([np.asarray(field.axis(a))[_cell_owned_edges(field.dims, a)] for a in range(3)])
-
-
-def cells_to_edge_field(values: np.ndarray, dims: GridDims) -> EdgeField:
-    """Scatter (3, cells) per-cell edge values back to a full field.
-
-    Border edges owned by no cell are zero (false).
-    """
-    if values.shape != (3,) + dims.cell_shape:
-        raise ShapeError(
-            f"cell edge array must be (3,)+{dims.cell_shape}, got {values.shape}")
-    parts = []
-    for a in range(3):
-        arr = np.zeros(dims.edge_shape(a), dtype=values.dtype)
-        arr[_cell_owned_edges(dims, a)] = values[a]
-        parts.append(arr)
-    return EdgeField(dims, *parts)
 
 
 def edge_crossings_linear(grid: ScalarGrid, iso: float = 0.0) -> EdgeField:

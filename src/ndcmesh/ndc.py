@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._dual import assemble_dual_mesh
+from ._dual import assemble_dual_mesh, cell_edges, edge_ring, interior_edges, ring_cells
 from .grids import EdgeField, SignGrid, VertexOffsetGrid, xor_flags
 from .mesh import QuadMesh
 
@@ -28,29 +28,27 @@ def undc_extract(flags: EdgeField, offsets: VertexOffsetGrid) -> QuadMesh:
 
 
 def _face_counts(flags: EdgeField) -> list[np.ndarray]:
-    """Faces incident to each dual mesh edge.
+    """Faces incident to each dual mesh edge, one int8 cell array per axis.
 
-    The mesh edge between cells adjacent along axis d (indexed by the
-    lower cell) collects one face per flagged grid edge of their shared
-    cell face. A flag on the grid's boundary plane counts although it
-    makes no quad: it stands for the face beyond the border, so a
-    surface cut by the grid border does not read as a hole there.
+    counts[d][q] is the number of faces on the mesh edge between cells
+    q - e_d and q: the flagged edges of their shared cell face, which
+    are the edges `cell_edges` gives cell q at the ring slots with
+    offset 0 along d. The slice q_d = 0 has no lower cell and is 0.
+    Border rule: a flag on the grid's boundary plane makes no quad but
+    is still an edge of its cell face, so it counts as the face beyond
+    the border, and a surface cut by the border does not read as a hole.
     """
-    dims = flags.dims
-    cells = dims.cell_shape
+    shape = flags.dims.cell_shape
     counts = []
     for d in range(3):
-        e, f = (d + 1) % 3, (d + 2) % 3
-        fe = np.moveaxis(flags.axis(e).astype(np.int32), (d, e, f), (0, 1, 2))
-        ff = np.moveaxis(flags.axis(f).astype(np.int32), (d, e, f), (0, 1, 2))
-        p, q, r = cells[d], cells[e], cells[f]
-        cd = (
-            fe[1:p, 0:q, 0:r]
-            + fe[1:p, 0:q, 1 : r + 1]
-            + ff[1:p, 0:q, 0:r]
-            + ff[1:p, 1 : q + 1, 0:r]
-        )
-        counts.append(np.moveaxis(cd, (0, 1, 2), (d, e, f)))
+        cd = np.zeros(shape, dtype=np.int8)
+        for a in range(3):
+            if a != d:
+                for r, view in zip(edge_ring(a), cell_edges(flags.axis(a), a, shape)):
+                    if r[d] == 0:
+                        cd += view
+        cd[(slice(None),) * d + (0,)] = 0
+        counts.append(cd)
     return counts
 
 
@@ -58,38 +56,33 @@ def close_holes(flags: EdgeField, max_passes: int = 3) -> EdgeField:
     """Flip false interior flags whose quad would mend a hole.
 
     A candidate is flipped when at least 3 of its quad's 4 mesh edges are
-    currently boundary (exactly one incident face, where flags on the
-    grid's boundary planes count as faces; see `_face_counts`), so adding
-    the quad converts them to interior. Each pass evaluates every candidate
-    against the same snapshot, then applies all flips at once; passes
-    repeat to a fixpoint, bounded by max_passes. Flags whose quad would
-    fall outside the cell lattice are never touched.
+    currently boundary, that is, have exactly one incident face. The
+    mesh edge between consecutive ring cells r[s - 1] and r[s] is read
+    from `_face_counts` at the upper of the two cells along the axis
+    where they differ, and by the border rule there a flag on the grid's
+    boundary plane counts as a face. Adding the quad converts those
+    edges to interior. Each pass evaluates every candidate against the
+    same snapshot, then applies all flips at once; passes repeat to a
+    fixpoint, bounded by max_passes. Flags whose ring would fall outside
+    the cell lattice are never touched.
     """
     out = flags.copy()
-    dims = flags.dims
-    cells = dims.cell_shape
     for _ in range(max_passes):
-        counts = _face_counts(out)
+        single = [c == 1 for c in _face_counts(out)]
         flips = []
         for a in range(3):
-            b, c = (a + 1) % 3, (a + 2) % 3
-            fa = np.moveaxis(out.axis(a).astype(bool), (a, b, c), (0, 1, 2))
-            cb = np.moveaxis(counts[b], (a, b, c), (0, 1, 2))
-            cc = np.moveaxis(counts[c], (a, b, c), (0, 1, 2))
-            q, r = cells[b], cells[c]
-            interior = fa[:, 1:q, 1:r]
-            boundary = (
-                (cb[:, 0 : q - 1, 0 : r - 1] == 1).astype(np.int32)
-                + (cc[:, 1:q, 0 : r - 1] == 1)
-                + (cb[:, 0 : q - 1, 1:r] == 1)
-                + (cc[:, 0 : q - 1, 0 : r - 1] == 1)
-            )
-            flips.append(~interior & (boundary >= 3))
-        if not any(np.any(f) for f in flips):
+            ring = edge_ring(a)
+            candidates = ~out.axis(a)[interior_edges(a)].astype(bool)
+            boundary = np.zeros(candidates.shape, dtype=np.int8)
+            for s in range(4):
+                # the pair differs by one unit along one axis d
+                step = ring[s] - ring[s - 1]
+                d = int(np.flatnonzero(step)[0])
+                upper = s if step[d] > 0 else s - 1
+                boundary += ring_cells(single[d], a)[upper]
+            flips.append(candidates & (boundary >= 3))
+        if not any(f.any() for f in flips):
             break
-        for a in range(3):
-            b, c = (a + 1) % 3, (a + 2) % 3
-            fa = np.moveaxis(out.axis(a), (a, b, c), (0, 1, 2))
-            q, r = cells[b], cells[c]
-            fa[:, 1:q, 1:r] |= flips[a]
+        for a, f in enumerate(flips):
+            out.axis(a)[interior_edges(a)] |= f
     return out

@@ -1,6 +1,6 @@
 """Trainable networks: layers, losses, optimizer, encoders, training."""
 
-from ..grids import cells_to_edge_field, edge_field_to_cells
+from .._dual import cells_to_edge_field, edge_field_to_cells
 from .adam import Adam
 from .layers import (LEAKY_SLOPE, Conv3d, LeakyReLU, Linear, MaxPoolAxis,
                      Param, ResBlockFC, Sequential, Sigmoid, sigmoid)

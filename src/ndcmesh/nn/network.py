@@ -18,9 +18,9 @@ Head conventions on a (m, n, k) vertex lattice:
 
 import numpy as np
 
+from .._dual import cells_to_edge_field
 from ..errors import InvalidKind
-from ..grids import (GridKind, ScalarGrid, SignGrid, VertexOffsetGrid,
-                     cells_to_edge_field)
+from ..grids import GridKind, ScalarGrid, SignGrid, VertexOffsetGrid
 from ..rng import rng_for
 from .layers import Conv3d, LeakyReLU, Layer, Sequential, sigmoid
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._dual import edge_field_to_cells
 from ..datagen import TrainingSample, augment_sample
 from ..errors import TrainingDiverged
-from ..grids import edge_field_to_cells
 from ..rng import rng_for
 from ..transforms import NUM_TRANSFORMS
 from .adam import Adam

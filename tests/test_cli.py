@@ -154,3 +154,17 @@ def test_stop_below_ends_training_early(tmp_path, capsys):
     assert " 3 epochs " in capsys.readouterr().out
     assert cli_main(train + ["--stop-below", "1e9"]) == 0
     assert " 1 epochs " in capsys.readouterr().out
+
+
+def test_train_takes_the_network_from_the_dataset_kind_alone(tmp_path, capsys):
+    data = small_dataset(tmp_path)
+    assert cli_main(["train", "--data", data, "--head", "vertices", "--steps", "1",
+                     "--channels", "4", "--variant", "sdf"]) == 1
+    assert "unrecognized arguments: --variant" in capsys.readouterr().err
+    for kind, extra in (("udf", []), ("points", ["--cloud-size", "64"])):
+        other = str(tmp_path / kind)
+        assert cli_main(["gen", "--out", other, "--kind", kind, "--res", "8"] + extra) == 0
+        assert cli_main(["train", "--data", other, "--head", "signs", "--steps", "1",
+                         "--channels", "4"]) == 1, kind
+        err = capsys.readouterr().err
+        assert "sign" in err and "--variant" not in err, kind

@@ -10,10 +10,13 @@ from ndcmesh.csg import random_scene
 from ndcmesh.datagen import sample_csg_grid, sample_point_cloud
 from ndcmesh.errors import (BadMagic, BadVersion, GridFormatError, NonFiniteValues,
                             ObjParseError, TruncatedPayload)
-from ndcmesh.fileio import (load_weights, read_grid, read_obj, read_xyz,
-                            save_weights, write_grid)
-from ndcmesh.grids import GridDims, VertexOffsetGrid
+from ndcmesh.fileio import (load_weights, read_grid, read_mesh, read_obj, read_report,
+                            read_xyz, save_weights, write_grid, write_mesh, write_obj,
+                            write_ply, write_report, write_xyz)
+from ndcmesh.grids import EdgeField, GridDims, GridKind, ScalarGrid, SignGrid, VertexOffsetGrid
+from ndcmesh.mesh import QuadMesh, TriMesh
 from ndcmesh.nn import make_network
+from ndcmesh.rng import rng_for
 
 
 def test_face_with_a_missing_vertex_reports_its_own_line(tmp_path):
@@ -71,8 +74,8 @@ def small_networks():
             (point_net, (sample_point_cloud(scene, 200, 0.0, 50), DIMS))]
 
 
-def prediction_arrays(out):
-    return [getattr(out, name) for name in ("inside", "offsets", "x", "y", "z")
+def grid_arrays(out):
+    return [getattr(out, name) for name in ("values", "inside", "offsets", "x", "y", "z")
             if hasattr(out, name)]
 
 
@@ -84,8 +87,7 @@ def test_weights_round_trip_byte_for_byte_with_identical_predictions(tmp_path):
         save_weights(second, back)
         assert first.read_bytes() == second.read_bytes(), net.variant
         assert (back.variant, back.head, back.channels) == (net.variant, net.head, net.channels)
-        for a, b in zip(prediction_arrays(net.predict(*args)),
-                        prediction_arrays(back.predict(*args))):
+        for a, b in zip(grid_arrays(net.predict(*args)), grid_arrays(back.predict(*args))):
             assert np.array_equal(a, b), net.variant
 
 
@@ -141,3 +143,110 @@ def test_loading_non_finite_weights_raises(tmp_path):
                 path.write_bytes(bad)
                 with pytest.raises(NonFiniteValues):
                     load_weights(path)
+
+
+# -- exact formats -------------------------------------------------------------
+
+
+def as_float32(values) -> np.ndarray:
+    return np.asarray(values).astype(np.float32).astype(np.float64)
+
+
+def as_nine_digits(values) -> np.ndarray:
+    return np.vectorize(lambda x: float(f"{x:.9g}"))(values)
+
+
+def wide_reals(rng, shape) -> np.ndarray:
+    """Signed magnitudes from 1e-8 to 1e20; the first two values are 0.0 and -0.0."""
+    values = 10.0 ** rng.uniform(-8, 20, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    values.reshape(-1)[:2] = (0.0, -0.0)
+    return values
+
+
+def test_every_ndcgrid_payload_reads_back_its_stated_rounding(tmp_path):
+    dims = GridDims(3, 4, 5)
+    rng = rng_for(41, "ndcgrid-round-trip")
+    reals = [rng.normal(size=dims.edge_shape(a)) * 10.0 ** rng.uniform(-8, 8) for a in range(3)]
+    reals[0][0, 0, 0] = np.nan  # crossing parameters are NaN off the surface
+    cases = [  # (object, its rounding; None for exact booleans), in payload-code order
+        (ScalarGrid(dims, GridKind.SDF, wide_reals(rng, dims.vertex_shape)), as_float32),
+        (SignGrid(dims, rng.random(dims.vertex_shape) < 0.5), None),
+        (VertexOffsetGrid(dims, rng.random(dims.cell_shape + (3,))), as_float32),
+        (EdgeField(dims, *(rng.random(dims.edge_shape(a)) < 0.5 for a in range(3))), None),
+        (EdgeField(dims, *reals), as_float32),
+    ]
+    for code, (obj, rounding) in enumerate(cases):
+        path = tmp_path / f"payload{code}.ndcg"
+        write_grid(path, obj)
+        assert path.read_bytes()[17] == code
+        back = read_grid(path)
+        assert type(back) is type(obj) and back.dims == dims
+        for got, sent in zip(grid_arrays(back), grid_arrays(obj), strict=True):
+            if rounding is None:
+                assert got.dtype == bool and np.array_equal(got, sent), code
+            else:
+                assert got.dtype == np.float64, code
+                assert np.array_equal(got, rounding(sent), equal_nan=True), code
+
+
+def reference_write_obj(path, mesh) -> None:
+    """Row-by-row OBJ writer that write_obj must match byte for byte."""
+    faces = mesh.quads if isinstance(mesh, QuadMesh) else mesh.tris
+    with open(path, "w") as fh:
+        for v in mesh.vertices:
+            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+        for f in faces:
+            fh.write("f " + " ".join(str(i + 1) for i in f) + "\n")
+
+
+def reference_ply_faces(faces: np.ndarray) -> bytes:
+    """Face-by-face PLY body that write_ply must end with."""
+    n = faces.shape[1]
+    counts = np.full((len(faces), 1), n, dtype=np.uint8)
+    idx = faces.astype("<i4")
+    return b"".join(counts[i].tobytes() + idx[i].tobytes() for i in range(len(faces)))
+
+
+def random_meshes(rng):
+    vertices = wide_reals(rng, (2002, 3))
+    return [QuadMesh(vertices, rng.integers(0, len(vertices), size=(3000, 4))),
+            TriMesh(vertices, rng.integers(0, len(vertices), size=(3000, 3)))]
+
+
+def test_mesh_writers_match_their_row_by_row_references(tmp_path):
+    for mesh in random_meshes(rng_for(42, "mesh-writers")):
+        faces = mesh.quads if isinstance(mesh, QuadMesh) else mesh.tris
+        write_obj(tmp_path / "a.obj", mesh)
+        reference_write_obj(tmp_path / "b.obj", mesh)
+        assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
+        write_ply(tmp_path / "a.ply", mesh)
+        data = (tmp_path / "a.ply").read_bytes()
+        assert data.endswith(mesh.vertices.astype("<f4").tobytes() + reference_ply_faces(faces))
+
+
+def test_meshes_read_back_their_stated_rounding_and_type(tmp_path):
+    for mesh in random_meshes(rng_for(43, "mesh-round-trip")):
+        faces = mesh.quads if isinstance(mesh, QuadMesh) else mesh.tris
+        for suffix, rounding in ((".obj", as_nine_digits), (".ply", as_float32)):
+            path = tmp_path / ("mesh" + suffix)
+            write_mesh(path, mesh)
+            back = read_mesh(path)
+            assert type(back) is type(mesh), suffix
+            assert back.vertices.dtype == np.float64
+            assert np.array_equal(back.vertices, rounding(mesh.vertices)), suffix
+            back_faces = back.quads if isinstance(back, QuadMesh) else back.tris
+            assert np.array_equal(back_faces, faces), suffix
+
+
+def test_clouds_and_reports_read_back_nine_digits(tmp_path):
+    rng = rng_for(44, "text-round-trip")
+    cloud = wide_reals(rng, (500, 3))
+    write_xyz(tmp_path / "cloud.xyz", cloud)
+    back = read_xyz(tmp_path / "cloud.xyz")
+    assert back.dtype == np.float64 and np.array_equal(back, as_nine_digits(cloud))
+    values = {"name": "scene", "count": 12, "cd": float(cloud[3, 0]), "zero": -0.0}
+    write_report(tmp_path / "report.txt", values)
+    back = read_report(tmp_path / "report.txt")
+    assert list(back) == list(values)
+    assert back["name"] == "scene" and int(back["count"]) == 12
+    assert back["cd"] == f"{values['cd']:.9g}" and back["zero"] == "-0"

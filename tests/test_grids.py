@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ndcmesh._dual import cells_to_edge_field, edge_field_to_cells
 from ndcmesh.errors import InvalidKind, NonFiniteValues, ShapeError
 from ndcmesh.grids import (EdgeField, GridDims, GridKind, ScalarGrid,
                            SignGrid, VertexOffsetGrid, central_gradients,
@@ -264,3 +265,17 @@ def test_xor_flags_shapes_and_unit_case():
     flags = xor_flags(SignGrid(dims, inside))
     assert sum(int(flags.axis(a).sum()) for a in range(3)) == 6
     assert flags.x[0, 1, 1] and flags.x[1, 1, 1]
+
+
+def test_each_cell_owns_the_edges_at_its_min_corner():
+    dims = GridDims(3, 4, 5)
+    values = rng_for(8, "owned-edges").random((3,) + dims.cell_shape)
+    field = cells_to_edge_field(values, dims)
+    for a in range(3):
+        arr = field.axis(a)
+        for pos in itertools.product(*(range(s) for s in arr.shape)):
+            owner = all(pos[t] < dims.cell_shape[t] for t in range(3))
+            assert arr[pos] == (values[a][pos] if owner else 0.0), (a, pos)
+    assert np.array_equal(edge_field_to_cells(field), values)
+    with pytest.raises(ShapeError):
+        cells_to_edge_field(values[:, :-1], dims)

@@ -1,5 +1,7 @@
 """Extraction from sign/flag/offset fields and the hole-closing pass."""
 
+from collections import Counter
+
 import numpy as np
 
 from ndcmesh.csg import Sphere, csg_normal_fn, random_scene
@@ -10,6 +12,8 @@ from ndcmesh.grids import (EdgeField, GridDims, SignGrid, VertexOffsetGrid,
 from ndcmesh.mesh import edge_topology_stats
 from ndcmesh.ndc import close_holes, ndc_extract, undc_extract
 from ndcmesh.rng import rng_for
+from ndcmesh.transforms import (NUM_SPATIAL, transform_edge_field, transform_offsets,
+                                transform_points, transform_sign_grid)
 
 
 def centered_offsets(dims: GridDims) -> VertexOffsetGrid:
@@ -215,3 +219,105 @@ def test_hole_closing_is_monotone_and_idempotent():
             after = np.asarray(out.axis(a))
             assert np.all(after[before])  # never clears a flag
             assert np.array_equal(np.asarray(again.axis(a)), after)
+
+
+def reference_face_counts(flags: EdgeField) -> list[np.ndarray]:
+    """Slice-based face counts, indexed by the lower cell of each pair."""
+    cells = flags.dims.cell_shape
+    counts = []
+    for d in range(3):
+        e, f = (d + 1) % 3, (d + 2) % 3
+        fe = np.moveaxis(flags.axis(e).astype(np.int32), (d, e, f), (0, 1, 2))
+        ff = np.moveaxis(flags.axis(f).astype(np.int32), (d, e, f), (0, 1, 2))
+        p, q, r = cells[d], cells[e], cells[f]
+        cd = (
+            fe[1:p, 0:q, 0:r]
+            + fe[1:p, 0:q, 1 : r + 1]
+            + ff[1:p, 0:q, 0:r]
+            + ff[1:p, 1 : q + 1, 0:r]
+        )
+        counts.append(np.moveaxis(cd, (0, 1, 2), (d, e, f)))
+    return counts
+
+
+def reference_close_holes(flags: EdgeField, max_passes: int) -> EdgeField:
+    """Slice-based hole closing: the same rule spelled out per window."""
+    out = flags.copy()
+    cells = flags.dims.cell_shape
+    for _ in range(max_passes):
+        counts = reference_face_counts(out)
+        flips = []
+        for a in range(3):
+            b, c = (a + 1) % 3, (a + 2) % 3
+            fa = np.moveaxis(out.axis(a).astype(bool), (a, b, c), (0, 1, 2))
+            cb = np.moveaxis(counts[b], (a, b, c), (0, 1, 2))
+            cc = np.moveaxis(counts[c], (a, b, c), (0, 1, 2))
+            q, r = cells[b], cells[c]
+            interior = fa[:, 1:q, 1:r]
+            boundary = (
+                (cb[:, 0 : q - 1, 0 : r - 1] == 1).astype(np.int32)
+                + (cc[:, 1:q, 0 : r - 1] == 1)
+                + (cb[:, 0 : q - 1, 1:r] == 1)
+                + (cc[:, 0 : q - 1, 0 : r - 1] == 1)
+            )
+            flips.append(~interior & (boundary >= 3))
+        if not any(np.any(f) for f in flips):
+            break
+        for a in range(3):
+            b, c = (a + 1) % 3, (a + 2) % 3
+            fa = np.moveaxis(out.axis(a), (a, b, c), (0, 1, 2))
+            q, r = cells[b], cells[c]
+            fa[:, 1:q, 1:r] |= flips[a]
+    return out
+
+
+def random_flags(dims: GridDims, density: float, rng) -> EdgeField:
+    return EdgeField(dims, *(rng.random(dims.edge_shape(a)) < density for a in range(3)))
+
+
+def test_hole_closing_matches_the_slice_reference_bit_for_bit():
+    rng = rng_for(17, "hole-closing-reference")
+    for narrow in range(8):  # bit t makes axis t two vertices wide
+        for density in (0.05, 0.2, 0.5):
+            for _ in range(3):
+                dims = GridDims(*(2 if narrow >> t & 1 else int(rng.integers(3, 12))
+                                  for t in range(3)))
+                flags = random_flags(dims, density, rng)
+                for max_passes in (1, 3, 50):
+                    got = close_holes(flags, max_passes)
+                    want = reference_close_holes(flags, max_passes)
+                    for a in range(3):
+                        assert got.axis(a).dtype == bool
+                        assert np.array_equal(got.axis(a), want.axis(a)), (
+                            dims, density, max_passes, a)
+
+
+def face_set(mesh, dims: GridDims, transform_id: int = 0) -> Counter:
+    """Faces as unordered sets of (transformed) vertex positions."""
+    points = np.round(transform_points(mesh.vertices, dims, transform_id), 9)
+    return Counter(frozenset(map(tuple, points[quad])) for quad in mesh.quads)
+
+
+def test_extraction_and_hole_closing_commute_with_the_48_spatial_transforms():
+    dims = GridDims(5, 6, 7)
+    rng = rng_for(23, "equivariance")
+    signs = SignGrid(dims, rng.random(dims.vertex_shape) < 0.4)
+    flags = random_flags(dims, 0.2, rng)
+    offsets = VertexOffsetGrid(dims, rng.random(dims.cell_shape + (3,)))
+    closed = close_holes(flags, max_passes=50)
+    ndc_mesh = ndc_extract(signs, offsets)
+    undc_mesh = undc_extract(flags, offsets)
+    assert any(np.any(closed.axis(a) != flags.axis(a)) for a in range(3))
+    assert len(ndc_mesh.quads) and len(undc_mesh.quads)
+    for t in range(NUM_SPATIAL):
+        moved_flags = transform_edge_field(flags, t)
+        moved_offsets = transform_offsets(offsets, t)
+        moved_dims = moved_flags.dims
+        got = close_holes(moved_flags, max_passes=50)
+        want = transform_edge_field(closed, t)
+        for a in range(3):
+            assert np.array_equal(got.axis(a), want.axis(a)), (t, a)
+        assert (face_set(ndc_extract(transform_sign_grid(signs, t), moved_offsets), moved_dims)
+                == face_set(ndc_mesh, dims, t)), t
+        assert (face_set(undc_extract(moved_flags, moved_offsets), moved_dims)
+                == face_set(undc_mesh, dims, t)), t
