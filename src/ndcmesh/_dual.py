@@ -7,6 +7,10 @@ the conventions in grids.py). Its readers: active cells and quads
 `ndc.close_holes`) and the cell-owned edges that the flag networks
 learn and predict (`edge_field_to_cells`, `cells_to_edge_field`).
 
+`neighbor_rows` is the one table of a cell set's 3x3x3 neighborhoods,
+read by the DC null-space slide (`dc`) and by the convolutions of the
+networks' set-restricted inference pass (`nn.network`).
+
 A cell owning at least one flagged edge gets one mesh vertex. Every
 flagged edge whose four surrounding cells all exist becomes one quad
 joining those cells' vertices in ring order, so the quad normal follows
@@ -26,6 +30,11 @@ from .grids import EdgeField, GridDims, SignGrid, VertexOffsetGrid
 from .mesh import QuadMesh
 
 OWNED_SLOT = 2  # the edge_ring slot with zero offset: the edge at a cell's min corner
+
+
+# The 27 cell shifts of a 3x3x3 neighborhood, in C order (the order of
+# Conv3d's kernel taps).
+NEIGHBOR_SHIFTS = np.stack(np.meshgrid(*[(-1, 0, 1)] * 3, indexing="ij"), axis=-1).reshape(27, 3)
 
 
 def edge_ring(axis: int) -> np.ndarray:
@@ -67,6 +76,18 @@ def cell_edges(edge_arr: np.ndarray, axis: int, cell_shape) -> list[np.ndarray]:
     q - edge_ring(axis)[s] for cell q.
     """
     return [_window(edge_arr, -r, cell_shape) for r in edge_ring(axis)]
+
+
+def neighbor_rows(rows: np.ndarray, cells: np.ndarray, cell_shape) -> np.ndarray:
+    """Rows of `cells` in the 3x3x3 neighborhood of cells[rows], shaped
+    (len(rows), 27) in NEIGHBOR_SHIFTS order; the one-past-the-end row,
+    len(cells), stands for a cell not in the set, in the grid or outside it."""
+    # cell -> row over the flattened grid padded by one cell
+    padded = np.add(cell_shape, 2)
+    at = np.ravel_multi_index(tuple(cells.T + 1), padded)
+    row_of = np.full(padded.prod(), len(cells))
+    row_of[at] = np.arange(len(cells))
+    return row_of[at[rows, None] + NEIGHBOR_SHIFTS @ (padded[1] * padded[2], padded[2], 1)]
 
 
 def edge_field_to_cells(field: EdgeField) -> np.ndarray:

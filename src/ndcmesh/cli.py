@@ -31,7 +31,7 @@ import sys
 
 from . import fileio
 from .csg import csg_normal_fn, random_scene
-from .datagen import assemble_sample, make_training_sample
+from .datagen import ACTIVE_MANHATTAN, BAND_WIDTH, assemble_sample, make_training_sample
 from .dc import dc_extract
 from .errors import NdcMeshError
 from .grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
@@ -415,6 +415,13 @@ def build_parser() -> _Parser:
     t.add_argument("--out", help="weights file (default: DATA/<variant>.ndcw)")
 
     i = subcommand("infer", cmd_infer, "run trained networks")
+    i.description = (
+        f"Grid networks predict signs on the input's |v| < {BAND_WIDTH:g} band (for "
+        "voxels: the corners of surface cells) and copy the input's own sign "
+        "elsewhere, vertex offsets at cells with a corner in that band (0.5 "
+        "elsewhere) and flags on edges with both ends in it (false elsewhere). "
+        f"Point networks predict at cells within {ACTIVE_MANHATTAN} Manhattan steps "
+        "of a cell holding a point; elsewhere offsets are 0.5 and flags false.")
     i.add_argument("--weights", action="append", required=True,
                    help="weights file (repeatable)")
     i.add_argument("--grid", help="input NDCGRID scalar grid")

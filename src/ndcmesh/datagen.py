@@ -16,7 +16,8 @@ from scipy import ndimage
 from ._dual import active_cell_mask, cells_to_edge_field, interior_edges, ring_cells
 from .csg import CsgShape, csg_gradient
 from .dc import qef_cell_offsets
-from .errors import EmptyMesh, InvalidKind, OpenMeshError, ShapeError, TooFewPoints
+from .errors import (EmptyMesh, InvalidKind, NonFiniteValues, OpenMeshError, ShapeError,
+                     TooFewPoints)
 from .grids import (
     EdgeField,
     GridDims,
@@ -360,7 +361,13 @@ def pseudo_gt_vertices(crossings: EdgeField, normals: EdgeField, dims: GridDims)
 
 
 def cloud_active_cells(cloud: np.ndarray, dims: GridDims, reach: int = ACTIVE_MANHATTAN) -> np.ndarray:
-    """Cells within `reach` Manhattan steps of a cell containing a point."""
+    """Cells within `reach` Manhattan steps of a cell containing a point.
+
+    Points outside the grid count in the nearest border cell; a
+    non-finite point raises NonFiniteValues.
+    """
+    if not np.all(np.isfinite(cloud)):
+        raise NonFiniteValues("point cloud coordinates must be finite")
     occ = np.zeros(dims.cell_shape, dtype=bool)
     cells = np.floor(cloud).astype(np.int64)
     cells = np.clip(cells, 0, np.asarray(dims.cell_shape) - 1)
@@ -403,21 +410,37 @@ def build_masks(
     if cloud is not None:
         active = cloud_active_cells(cloud, dims)
         m_f = cells_to_edge_field(np.broadcast_to(active, (3,) + active.shape), dims)
-    elif grid is not None and grid.kind in (GridKind.SDF, GridKind.UDF):
-        band = np.abs(grid.values) < BAND_WIDTH
-        m_s = band
-        m_f = EdgeField(dims, *(np.logical_and(*edge_ends(band, a)) for a in range(3)))
-    elif grid is not None and grid.kind == GridKind.OCC:
-        occ = grid.values[:-1, :-1, :-1] > 0.5
-        padded = np.pad(occ, 1, constant_values=False)
-        eroded = ndimage.minimum_filter(padded.astype(np.int8), size=3)[1:-1, 1:-1, 1:-1] > 0
-        surface_cells = occ & ~eroded
-        for corner in CORNER_OFFSETS:
-            m_s[tuple(slice(o, o + n) for o, n in zip(corner, occ.shape))] |= surface_cells
-        # edges whose four surrounding cells are all occupied
-        for a in range(3):
-            m_f.axis(a)[interior_edges(a)] = np.logical_and.reduce(ring_cells(occ, a))
+    elif grid is not None:
+        m_s = vertex_band(grid)
+        if grid.kind == GridKind.OCC:
+            # edges whose four surrounding cells are all occupied
+            occ = grid.values[:-1, :-1, :-1] > 0.5
+            for a in range(3):
+                m_f.axis(a)[interior_edges(a)] = np.logical_and.reduce(ring_cells(occ, a))
+        else:
+            m_f = band_edges(dims, m_s)
     return MaskGrids(dims, m_s, m_v, m_f)
+
+
+def vertex_band(grid: ScalarGrid) -> np.ndarray:
+    """The vertices a grid input supervises and predicts signs at: |v| <
+    BAND_WIDTH for SDF/UDF, the corners of surface cells (occupied cells
+    with an empty or out-of-grid cell among their 26 neighbors) for OCC."""
+    if grid.kind != GridKind.OCC:
+        return np.abs(grid.values) < BAND_WIDTH
+    occ = grid.values[:-1, :-1, :-1] > 0.5
+    padded = np.pad(occ, 1, constant_values=False)
+    eroded = ndimage.minimum_filter(padded.astype(np.int8), size=3)[1:-1, 1:-1, 1:-1] > 0
+    surface_cells = occ & ~eroded
+    band = np.zeros(grid.dims.vertex_shape, dtype=bool)
+    for corner in CORNER_OFFSETS:
+        band[tuple(slice(o, o + n) for o, n in zip(corner, occ.shape))] |= surface_cells
+    return band
+
+
+def band_edges(dims: GridDims, band: np.ndarray) -> EdgeField:
+    """Edges with both endpoints in a per-vertex band."""
+    return EdgeField(dims, *(np.logical_and(*edge_ends(band, a)) for a in range(3)))
 
 
 # ---------------------------------------------------------------------------

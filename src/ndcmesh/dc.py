@@ -17,7 +17,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from ._dual import active_cell_mask, assemble_dual_mesh, cell_edges, edge_ring
+from ._dual import (NEIGHBOR_SHIFTS, active_cell_mask, assemble_dual_mesh, cell_edges,
+                    edge_ring, neighbor_rows)
 from .grids import (
     EdgeField,
     ScalarGrid,
@@ -51,10 +52,6 @@ FEATURE_TOL = 1e-6
 # Deficient rows per neighborhood solve: 128 rows keep each (rows, 324, 3)
 # float64 temporary at 1 MB, whatever the surface area.
 RESOLVE_BLOCK = 128
-
-# The 27 cell shifts of a 3x3x3 neighborhood, in C order.
-NEIGHBOR_SHIFTS = np.stack(np.meshgrid(*[(-1, 0, 1)] * 3, indexing="ij"), axis=-1).reshape(27, 3)
-
 
 def _projected_edge_anchors(
     grid: ScalarGrid, crossings: EdgeField, normal_fn, iso: float
@@ -149,18 +146,8 @@ def qef_cell_offsets(
     return offsets, table
 
 
-def _neighbor_rows(rows: np.ndarray, cells: np.ndarray, cell_shape) -> np.ndarray:
-    """Table rows of the 3x3x3 cell neighborhood of table rows, shaped
-    (len(rows), 27); the one-past-the-end row stands for a cell without
-    constraints, in the grid or outside it."""
-    # cell -> table row over the grid padded by one cell
-    row_of = np.full(np.add(cell_shape, 2), len(cells))
-    row_of[tuple(cells.T + 1)] = np.arange(len(cells))
-    return row_of[tuple(np.moveaxis(cells[rows, None] + 1 + NEIGHBOR_SHIFTS, -1, 0))]
-
-
 def _gather_neighborhood(nb: np.ndarray, table):
-    """Stack the constraints of the neighbor rows `nb` of _neighbor_rows.
+    """Stack the constraints of the table rows `nb` from neighbor_rows.
 
     Points are shifted into the center cell's local frame; out-of-grid
     neighbors and empty slots contribute zero normals, which drop out of
@@ -234,7 +221,7 @@ def _dc_solve(
         _, s, vt = np.linalg.svd(nrm * valid[..., None], full_matrices=False)
         kept = s >= TRUNCATION_RATIO * s[:, :1]
         deficient = np.flatnonzero(~kept[:, 2])
-        nb = _neighbor_rows(deficient, cells, grid.dims.cell_shape)
+        nb = neighbor_rows(deficient, cells, grid.dims.cell_shape)
         # every row's arithmetic is its own, so blocking changes no result
         for lo in range(0, len(deficient), RESOLVE_BLOCK):
             rows = deficient[lo:lo + RESOLVE_BLOCK]

@@ -121,16 +121,18 @@ def read_obj(path):
 
 
 def as_tri_mesh(vertices: np.ndarray, faces: list) -> TriMesh:
-    """Coerce mixed faces: quads split along the (0, 2) diagonal."""
-    tris = []
-    for f in faces:
-        if len(f) == 3:
-            tris.append(f)
-        else:
-            tris.append(f[[0, 1, 2]])
-            tris.append(f[[0, 2, 3]])
-    out = np.array(tris, dtype=np.int64).reshape(-1, 3)
-    return TriMesh(vertices, out)
+    """Coerce mixed faces, in order: quads split along the (0, 2) diagonal."""
+    sizes = np.fromiter(map(len, faces), dtype=np.int64, count=len(faces))
+    if np.any((sizes < 3) | (sizes > 4)):
+        raise ShapeError("faces must have 3 or 4 vertices")
+    flat = np.concatenate(faces).astype(np.int64) if faces else np.empty(0, np.int64)
+    # triangle j of a face joins its corners 0, j + 1 and j + 2
+    ntri = sizes - 2
+    face = np.repeat(np.arange(len(faces)), ntri)
+    j = np.arange(len(face)) - np.repeat(np.cumsum(ntri) - ntri, ntri)
+    first = (np.cumsum(sizes) - sizes)[face]
+    corners = np.stack([np.zeros_like(j), j + 1, j + 2], axis=1)
+    return TriMesh(vertices, flat[first[:, None] + corners])
 
 
 def as_quad_mesh(vertices: np.ndarray, faces: list) -> QuadMesh:
@@ -191,17 +193,26 @@ def read_ply(path):
     if len(body) < need:
         raise TruncatedPayload("ply vertex data truncated")
     verts = np.frombuffer(body[:need], dtype="<f4").reshape(nv, 3).astype(np.float64)
-    faces = []
-    ofs = need
+    # each count byte locates the next record, so one pass over the
+    # counts finds every record; the indices are then read with one
+    # gather per vertex count
+    starts, ofs = [], need
     for _ in range(nf):
-        if ofs + 1 > len(body):
+        if ofs >= len(body):
             raise TruncatedPayload("ply face data truncated")
-        cnt = body[ofs]
-        ofs += 1
-        if ofs + 4 * cnt > len(body):
-            raise TruncatedPayload("ply face data truncated")
-        faces.append(np.frombuffer(body[ofs:ofs + 4 * cnt], dtype="<i4").astype(np.int64))
-        ofs += 4 * cnt
+        starts.append(ofs)
+        ofs += 1 + 4 * body[ofs]
+    if ofs > len(body):
+        raise TruncatedPayload("ply face data truncated")
+    data = np.frombuffer(body, dtype=np.uint8)
+    starts = np.array(starts, dtype=np.int64)
+    counts = data[starts]
+    faces = [None] * nf
+    for n in np.unique(counts).tolist():
+        at = np.flatnonzero(counts == n)
+        idx = data[(starts[at] + 1)[:, None] + np.arange(4 * n)].view("<i4").astype(np.int64)
+        for i, face in zip(at.tolist(), idx):
+            faces[i] = face
     return verts, faces
 
 

@@ -21,6 +21,16 @@ from ..errors import ShapeError
 
 LEAKY_SLOPE = 0.01
 
+# Convolutions mix channels through BLAS as (out, in) x (in, MIX_BLOCK)
+# products. BLAS picks its kernel, and with it the order of each sum,
+# from a product's shape: with OpenBLAS, a single output row's sums
+# split into input-channel blocks once a call has more than 16384
+# columns, and column counts that leave an edge block, or make
+# out * in * columns at most 1e6, change how some columns are summed. One
+# shape makes every voxel's value independent of the voxels it is
+# computed with, which lets Conv3d.forward_rows reproduce forward.
+MIX_BLOCK = 512
+
 
 class Param:
     """A trainable array together with its accumulated gradient."""
@@ -54,6 +64,21 @@ class Layer:
             p.grad[...] = 0.0
 
 
+def _channel_mix(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w @ x for (out, in) weights and (in, N) columns, as products of
+    one shape (see MIX_BLOCK), the last block of columns zero-padded.
+    Returns the blocks of the result, shaped (blocks, out, MIX_BLOCK)."""
+    n = x.shape[1]
+    y = np.empty((-(-n // MIX_BLOCK), len(w), MIX_BLOCK), dtype=np.result_type(w, x))
+    for b, lo in enumerate(range(0, n, MIX_BLOCK)):
+        block = x[:, lo:lo + MIX_BLOCK]
+        if block.shape[1] < MIX_BLOCK:
+            block = np.concatenate(
+                [block, np.zeros((len(x), MIX_BLOCK - block.shape[1]), dtype=x.dtype)], axis=1)
+        np.dot(w, block, out=y[b])
+    return y
+
+
 class Conv3d(Layer):
     """3D cross-correlation with kernel size 1 or 3, stride 1.
 
@@ -65,6 +90,10 @@ class Conv3d(Layer):
     is the unpadded case with a single window, the input itself, so it
     is neither copied nor padded. Weights are stored as
     (out, in, kz, ky, kx).
+
+    forward_rows computes the same outputs at a set of voxels only, from
+    the inputs as (in, N) rows; it sums the same products in the same
+    order, so its rows equal forward's voxels bit for bit.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
@@ -83,25 +112,56 @@ class Conv3d(Layer):
     def param_layers(self):
         return [self]
 
+    def _taps(self):
+        """Weight index of each kernel offset (dz, dy, dx), dx fastest."""
+        for offset in itertools.product(range(self.kernel), repeat=3):
+            yield (slice(None), slice(None)) + offset
+
     def _windows(self, d: int, h: int, w: int):
         """(weight tap, padded-input window) index pairs, dx fastest."""
-        for dz, dy, dx in itertools.product(range(self.kernel), repeat=3):
-            yield ((slice(None), slice(None), dz, dy, dx),
-                   (slice(None), slice(dz, dz + d), slice(dy, dy + h), slice(dx, dx + w)))
+        for tap in self._taps():
+            dz, dy, dx = tap[2:]
+            yield tap, (slice(None), slice(dz, dz + d), slice(dy, dy + h), slice(dx, dx + w))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[0] != self.in_channels:
-            raise ShapeError(
-                f"conv input must be ({self.in_channels}, D, H, W), got {x.shape}")
-        p = self.kernel // 2
-        self._xp = xp = np.pad(x, [(0, 0)] + [(p, p)] * 3) if p else x
+    def _mix(self, cols, n: int) -> np.ndarray:
+        """Sum each tap's channel mix of its (in, n) input columns, taps
+        in order, then add the bias: the one summation of both forwards."""
         wv = self.weight.value
-        terms = (np.tensordot(wv[tap], xp[win], axes=1)
-                 for tap, win in self._windows(*x.shape[1:]))
+        terms = (_channel_mix(wv[tap], col) for tap, col in zip(self._taps(), cols))
         y = next(terms)
         for term in terms:
             y += term
-        return y + self.bias.value[:, None, None, None]
+        y = y.transpose(1, 0, 2).reshape(self.out_channels, -1)[:, :n]
+        return y + self.bias.value[:, None]
+
+    def _check_channels(self, x: np.ndarray, ndim: int, shape: str) -> None:
+        if x.ndim != ndim or x.shape[0] != self.in_channels:
+            raise ShapeError(f"conv input must be ({self.in_channels}, {shape}), got {x.shape}")
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._check_channels(x, 4, "D, H, W")
+        p = self.kernel // 2
+        self._xp = xp = np.pad(x, [(0, 0)] + [(p, p)] * 3) if p else x
+        cols = (xp[win].reshape(self.in_channels, -1) for _, win in self._windows(*x.shape[1:]))
+        y = self._mix(cols, math.prod(x.shape[1:]))
+        return y.reshape((self.out_channels,) + x.shape[1:])
+
+    def forward_rows(self, x: np.ndarray, nb: np.ndarray | None = None) -> np.ndarray:
+        """forward at a set of voxels, for inference (nothing is cached).
+
+        x holds the input at N voxels as (in, N) rows. For kernel 3, row
+        r of the (M, 27) table nb lists the input row under each tap of
+        output voxel r, in tap order, with N standing for the zero
+        padding (see _dual.neighbor_rows); the result is (out, M). A
+        1^3 kernel takes no table: its output rows are the input rows.
+        """
+        self._check_channels(x, 2, "N")
+        if (nb is None) != (self.kernel == 1):
+            raise ValueError("a neighbor table is needed for, and only for, kernel 3")
+        if nb is None:
+            return self._mix([x], x.shape[1])
+        padded = np.concatenate([x, np.zeros_like(x[:, :1])], axis=1)
+        return self._mix((padded.take(rows, axis=1) for rows in nb.T), len(nb))
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         self.bias.grad += gy.sum(axis=(1, 2, 3))

@@ -14,13 +14,27 @@ Head conventions on a (m, n, k) vertex lattice:
   flag    3 channels per cell; channel a is the crossing probability of
           the cell's edge along axis a from its min corner. Border
           edges not owned by any cell are never predicted (left false).
+
+Training runs the stack densely (forward_logits, backward). predict
+runs it only on the outputs a mesh can read, which the supervision band
+S of the input (datagen.vertex_band: |v| < BAND_WIDTH for SDF/UDF, the
+corners of surface cells for OCC) decides:
+  sign    predicted on S; elsewhere the input's own sign (v < 0, or
+          for OCC the occupancy of the vertex's own cell).
+  vertex  predicted at cells with a corner in S; elsewhere 0.5.
+  flag    predicted on edges with both ends in S; elsewhere false.
+3^3 layer i of n then runs on the predicted outputs dilated by n-1-i
+voxels and the 1^3 layers on the outputs alone (band_sets, stack_rows);
+the predicted outputs equal the dense pass's bit for bit.
 """
 
 import numpy as np
 
-from .._dual import cells_to_edge_field
+from .._dual import cells_to_edge_field, edge_field_to_cells, neighbor_rows
+from ..datagen import band_edges, vertex_band
 from ..errors import InvalidKind
-from ..grids import GridKind, ScalarGrid, SignGrid, VertexOffsetGrid
+from ..grids import GridKind, ScalarGrid, SignGrid, VertexOffsetGrid, edge_ends
+from ..mc_tables import CORNER_OFFSETS
 from ..rng import rng_for
 from .layers import Conv3d, LeakyReLU, Layer, Sequential, sigmoid
 
@@ -53,6 +67,44 @@ def conv_stack(in_channels: int, channels: int, out_channels: int, n_conv3: int,
                    LeakyReLU()]
     layers.append(Conv3d(channels, out_channels, 1, rng_for(seed, tag1, 2), dtype))
     return Sequential(layers)
+
+
+def band_sets(stack: Sequential, out: np.ndarray) -> list[np.ndarray]:
+    """The voxel masks a conv_stack runs on to give logits at mask `out`.
+
+    3^3 layer i of n reads entry i and writes entry i + 1, where entry i
+    is `out` dilated by n - i voxels (3^3 box, clipped to the grid); the
+    1^3 layers run on the last entry, `out` itself.
+    """
+    sets = [out]
+    for layer in stack.layers:
+        if isinstance(layer, Conv3d) and layer.kernel == 3:
+            # the 3^3 box is a 3-voxel segment along each axis in turn
+            grown = sets[0].copy()
+            for axis in range(3):
+                lower, upper = edge_ends(grown, axis)
+                lower_was, upper_was = lower.copy(), upper.copy()
+                lower |= upper_was
+                upper |= lower_was
+            sets.insert(0, grown)
+    return sets
+
+
+def stack_rows(stack: Sequential, x: np.ndarray, sets: list[np.ndarray]) -> np.ndarray:
+    """A conv_stack's logits at the voxels of sets[-1] from its input at
+    those of sets[0], both as (C, N) rows in C order.
+
+    The rows equal forward()'s voxels bit for bit, for any dense input
+    that agrees with x on sets[0] (Conv3d.forward_rows).
+    """
+    tables = (neighbor_rows(np.flatnonzero(b[a]), np.argwhere(a), a.shape)
+              for a, b in zip(sets, sets[1:]))
+    for layer in stack.layers:
+        if isinstance(layer, Conv3d):
+            x = layer.forward_rows(x, next(tables) if layer.kernel == 3 else None)
+        else:
+            x = layer.forward(x)
+    return x
 
 
 def crop_cells(arr: np.ndarray, cell_shape) -> np.ndarray:
@@ -103,12 +155,42 @@ class GridNetwork(Layer):
         return grid.values[None].astype(self.dtype)
 
     def predict(self, grid: ScalarGrid):
-        """Thresholded, typed output for this network's head."""
-        probs = sigmoid(self.forward_logits(self.input_tensor(grid)))
+        """Thresholded, typed output for this network's head.
+
+        With S the input's supervision band (datagen.vertex_band), signs
+        are predicted on S and copy the input's own sign elsewhere;
+        vertex offsets are predicted at cells with a corner in S and are
+        0.5 elsewhere; flags are predicted on edges with both ends in S
+        and are false elsewhere.
+        """
+        x = self.input_tensor(grid)
+        used, fill = self._used_outputs(grid)
+        out = used.any(axis=0)
+        sets = band_sets(self.trunk, out)
+        probs = np.zeros(used.shape, dtype=self.dtype)
+        probs[:, out] = sigmoid(stack_rows(self.trunk, x[:, sets[0]], sets))
+        probs = np.where(used, probs, fill)
         if self.head == "sign":
             return SignGrid(grid.dims, probs[0] > 0.5)
         return cell_head_output(self.head, crop_cells(probs, grid.dims.cell_shape),
                                 grid.dims)
+
+    def _used_outputs(self, grid: ScalarGrid):
+        """(C, *vertex_shape) mask of the outputs predict computes, and
+        the fill of the others."""
+        band = vertex_band(grid)
+        if self.head == "sign":
+            own = grid.values > 0.5 if grid.kind is GridKind.OCC else grid.values < 0
+            return band[None], own[None]
+        if self.head == "vertex":
+            m, n, k = grid.dims.cell_shape
+            cells = np.zeros((m, n, k), dtype=bool)
+            for ox, oy, oz in CORNER_OFFSETS:
+                cells |= band[ox:ox + m, oy:oy + n, oz:oz + k]
+            used, fill = np.broadcast_to(cells, (3, m, n, k)), 0.5
+        else:
+            used, fill = edge_field_to_cells(band_edges(grid.dims, band)), 0.0
+        return np.pad(used, [(0, 0)] + [(0, 1)] * 3), fill
 
 
 def make_network(variant: str, channels: int | None = None, seed: int = 0,

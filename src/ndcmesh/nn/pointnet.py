@@ -6,9 +6,18 @@ then refines it with residual blocks. Stage two queries the K nearest
 points from each active cell center, concatenates relative positions
 with point features, and pools the same way into a per-cell feature.
 Active cells are those within a small Manhattan reach of a cell that
-contains a point; all other cells carry zero features and are forced
-to predict nothing. Stage three runs three 3^3 and three 1^3
-convolutions over the cell grid to produce head logits.
+contains a point (datagen.cloud_active_cells); all other cells carry
+zero features. Stage three runs three 3^3 and three 1^3 convolutions
+over the cell grid to produce head logits.
+
+Stage three runs over the whole grid, in training and in predict
+alike; predict keeps its output at the active cells only, and every
+other cell gets no crossing on the flag head and the cell center (0.5)
+on the vertex head. Unlike GridNetwork.predict (network.stack_rows),
+the grid stage is not run band-sparse: the active set follows how far
+the points spread (2,300 to 9,400 cells for 2,048-point clouds of
+random 48^3 scenes), and a sparse pass's cost with it, while the dense
+pass costs the same for every cloud.
 
 Both neighborhoods hold K_NEIGHBORS points, and the active reach is
 datagen.ACTIVE_MANHATTAN, the one the supervision masks use; neither is
@@ -24,7 +33,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ..datagen import ACTIVE_MANHATTAN, cloud_active_cells
-from ..errors import ShapeError, TooFewPoints
+from ..errors import NonFiniteValues, ShapeError, TooFewPoints
 from ..grids import GridDims
 from ..rng import rng_for
 from .layers import (Layer, LeakyReLU, Linear, MaxPoolAxis, ResBlockFC,
@@ -129,10 +138,14 @@ class PointNetwork(Layer):
     def param_layers(self):
         return Sequential([self.point_enc, self.res, self.cell_enc, self.grid]).param_layers()
 
-    def forward_logits(self, cloud: np.ndarray, dims: GridDims) -> np.ndarray:
+    def _cell_features(self, cloud: np.ndarray, dims: GridDims):
+        """Stages one and two: (active cell mask, (active cells, channels)
+        features in C order, cell-query neighbor indices)."""
         cloud = np.asarray(cloud, dtype=np.float64)
         if cloud.ndim != 2 or cloud.shape[1] != 3:
             raise ShapeError(f"cloud must be (N, 3), got {cloud.shape}")
+        if not np.all(np.isfinite(cloud)):
+            raise NonFiniteValues("point cloud coordinates must be finite")
         n = len(cloud)
         if n < K_NEIGHBORS:
             raise TooFewPoints(
@@ -144,32 +157,38 @@ class PointNetwork(Layer):
         feats = self.res.forward(feats)
 
         active = cloud_active_cells(cloud, dims, ACTIVE_MANHATTAN)
-        acells = np.argwhere(active)
-        centers = acells + 0.5
+        centers = np.argwhere(active) + 0.5
         nb2 = knn_indices(cloud, centers, K_NEIGHBORS, tree=tree)
         rel2 = (cloud[nb2] - centers[:, None, :]).astype(self.dtype)
         cat = np.concatenate([rel2, feats[nb2]], axis=-1)
-        cell_feats = self.cell_pool.forward(self.cell_enc.forward(cat))
+        return active, self.cell_pool.forward(self.cell_enc.forward(cat)), nb2
 
+    def _logits(self, cloud: np.ndarray, dims: GridDims):
+        """(active cell mask, cell-query neighbor indices, logits over
+        the whole cell grid)."""
+        active, cell_feats, nb2 = self._cell_features(cloud, dims)
         vol = np.zeros((self.channels,) + dims.cell_shape, dtype=self.dtype)
-        vol[:, acells[:, 0], acells[:, 1], acells[:, 2]] = cell_feats.T
-        self._cache = (n, nb2, acells, active)
-        return self.grid.forward(vol)
+        vol[:, active] = cell_feats.T
+        return active, nb2, self.grid.forward(vol)
+
+    def forward_logits(self, cloud: np.ndarray, dims: GridDims) -> np.ndarray:
+        active, nb2, logits = self._logits(cloud, dims)
+        self._cache = (len(cloud), nb2, active)
+        return logits
 
     def backward(self, glogits: np.ndarray) -> None:
-        n, nb2, acells, _ = self._cache
+        n, nb2, active = self._cache
         gvol = self.grid.backward(glogits)
-        gcell = gvol[:, acells[:, 0], acells[:, 1], acells[:, 2]].T
-        gcat = self.cell_enc.backward(self.cell_pool.backward(gcell))
+        gcat = self.cell_enc.backward(self.cell_pool.backward(gvol[:, active].T))
         gfeats = np.zeros((n, self.channels), dtype=glogits.dtype)
         np.add.at(gfeats, nb2, gcat[..., 3:])
         gfeats = self.res.backward(gfeats)
         self.point_enc.backward(self.point_pool.backward(gfeats))
 
     def predict(self, cloud: np.ndarray, dims: GridDims):
-        """Typed head output; inactive cells predict no crossing on the
-        flag head and the cell center on the vertex head."""
-        probs = sigmoid(self.forward_logits(cloud, dims))
-        _, _, _, active = self._cache
-        probs = np.where(active, probs, 0.0 if self.head == "flag" else 0.5)
+        """Typed head output, predicted at the active cells; every other
+        cell predicts no crossing on the flag head and the cell center on
+        the vertex head."""
+        active, _, logits = self._logits(cloud, dims)
+        probs = np.where(active, sigmoid(logits), 0.0 if self.head == "flag" else 0.5)
         return cell_head_output(self.head, probs, dims)

@@ -2,10 +2,11 @@
 
 import numpy as np
 
+from ndcmesh._dual import neighbor_rows
 from ndcmesh.csg import Box, Sphere, csg_normal_fn
 from ndcmesh.datagen import sample_csg_grid
-from ndcmesh.dc import (_cell_constraints, _gather_neighborhood, _neighbor_rows,
-                        _projected_edge_anchors, dc_extract, dc_fields)
+from ndcmesh.dc import (_cell_constraints, _gather_neighborhood, _projected_edge_anchors,
+                        dc_extract, dc_fields)
 from ndcmesh.fileio import as_tri_mesh
 from ndcmesh.grids import (GridDims, GridKind, ScalarGrid,
                            edge_crossing_normals, edge_crossings_linear)
@@ -256,7 +257,7 @@ def test_neighborhood_gather_matches_the_27_pass_reference():
         for arr, col in zip(dense, (valid, pts, nrm)):
             arr[tuple(cells.T)] = col
         rows = np.arange(len(cells))[::-1]
-        got = _gather_neighborhood(_neighbor_rows(rows, cells, shape), table)
+        got = _gather_neighborhood(neighbor_rows(rows, cells, shape), table)
         want = reference_neighborhood(cells[rows], *dense)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)

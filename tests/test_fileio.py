@@ -9,10 +9,10 @@ import pytest
 from ndcmesh.csg import random_scene
 from ndcmesh.datagen import sample_csg_grid, sample_point_cloud
 from ndcmesh.errors import (BadMagic, BadVersion, GridFormatError, NonFiniteValues,
-                            ObjParseError, TruncatedPayload)
-from ndcmesh.fileio import (load_weights, read_grid, read_mesh, read_obj, read_report,
-                            read_xyz, save_weights, write_grid, write_mesh, write_obj,
-                            write_ply, write_report, write_xyz)
+                            ObjParseError, ShapeError, TruncatedPayload)
+from ndcmesh.fileio import (as_tri_mesh, load_weights, read_grid, read_mesh, read_obj,
+                            read_ply, read_report, read_xyz, save_weights, write_grid,
+                            write_mesh, write_obj, write_ply, write_report, write_xyz)
 from ndcmesh.grids import EdgeField, GridDims, GridKind, ScalarGrid, SignGrid, VertexOffsetGrid
 from ndcmesh.mesh import QuadMesh, TriMesh
 from ndcmesh.nn import make_network
@@ -236,6 +236,91 @@ def test_meshes_read_back_their_stated_rounding_and_type(tmp_path):
             assert np.array_equal(back.vertices, rounding(mesh.vertices)), suffix
             back_faces = back.quads if isinstance(back, QuadMesh) else back.tris
             assert np.array_equal(back_faces, faces), suffix
+
+
+def reference_as_tri_mesh(vertices, faces):
+    """Face-by-face split that as_tri_mesh must match."""
+    tris = []
+    for f in faces:
+        if len(f) == 3:
+            tris.append(f)
+        else:
+            tris.append(f[[0, 1, 2]])
+            tris.append(f[[0, 2, 3]])
+    return TriMesh(vertices, np.array(tris, dtype=np.int64).reshape(-1, 3))
+
+
+def reference_read_ply_faces(body: bytes, nf: int) -> list:
+    """Record-by-record parse of the PLY face section."""
+    faces, ofs = [], 0
+    for _ in range(nf):
+        if ofs + 1 > len(body):
+            raise TruncatedPayload("ply face data truncated")
+        cnt = body[ofs]
+        ofs += 1
+        if ofs + 4 * cnt > len(body):
+            raise TruncatedPayload("ply face data truncated")
+        faces.append(np.frombuffer(body[ofs:ofs + 4 * cnt], dtype="<i4").astype(np.int64))
+        ofs += 4 * cnt
+    return faces
+
+
+def mixed_faces(rng, count: int, quad_share: float) -> list:
+    sizes = np.where(rng.random(count) < quad_share, 4, 3)
+    return [rng.integers(0, 50, size=n) for n in sizes]
+
+
+def write_mixed_ply(path, vertices, faces) -> bytes:
+    """A PLY file with faces of any vertex count; returns its face section."""
+    body = b"".join(struct.pack("<B", len(f)) + np.asarray(f, "<i4").tobytes() for f in faces)
+    header = ("ply\nformat binary_little_endian 1.0\n"
+              f"element vertex {len(vertices)}\n"
+              "property float x\nproperty float y\nproperty float z\n"
+              f"element face {len(faces)}\n"
+              "property list uchar int vertex_indices\nend_header\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + vertices.astype("<f4").tobytes() + body)
+    return body
+
+
+def test_mixed_faces_read_and_split_like_their_face_by_face_references(tmp_path):
+    rng = rng_for(45, "mixed-faces")
+    vertices = rng.random((50, 3))
+    # alternating, long runs, all triangles, all quads, a single face, none
+    lists = [mixed_faces(rng, 500, share) for share in (0.5, 0.02, 0.98, 0.0, 1.0)]
+    lists += [[np.array([3, 1, 4, 1])], []]
+    for i, faces in enumerate(lists):
+        got, want = as_tri_mesh(vertices, faces), reference_as_tri_mesh(vertices, faces)
+        assert got.tris.dtype == want.tris.dtype and np.array_equal(got.tris, want.tris), i
+        path = tmp_path / f"mixed{i}.ply"
+        body = write_mixed_ply(path, vertices, faces)
+        verts, back = read_ply(path)
+        assert np.array_equal(verts, vertices.astype(np.float32)), i
+        ref = reference_read_ply_faces(body, len(faces))
+        assert len(back) == len(ref) == len(faces), i
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(back, ref)), i
+    # PLY faces of other sizes read back as written; a mesh refuses them
+    odd = [np.arange(3), np.arange(0), np.arange(5), np.arange(4)]
+    body = write_mixed_ply(tmp_path / "odd.ply", vertices, odd)
+    back = read_ply(tmp_path / "odd.ply")[1]
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype
+               for a, b in zip(back, reference_read_ply_faces(body, len(odd))))
+    with pytest.raises(ShapeError):
+        as_tri_mesh(vertices, back)
+
+
+def test_truncated_ply_faces_raise_truncated_payload(tmp_path):
+    rng = rng_for(46, "truncated-ply")
+    vertices = rng.random((50, 3))
+    faces = mixed_faces(rng, 40, 0.5)
+    body = write_mixed_ply(tmp_path / "full.ply", vertices, faces)
+    data = (tmp_path / "full.ply").read_bytes()
+    for cut in (1, 2, 4, 5, 17, len(body) - 1):
+        (tmp_path / "cut.ply").write_bytes(data[:-cut])
+        with pytest.raises(TruncatedPayload):
+            reference_read_ply_faces(body[:-cut], len(faces))
+        with pytest.raises(TruncatedPayload):
+            read_ply(tmp_path / "cut.ply")
 
 
 def test_clouds_and_reports_read_back_nine_digits(tmp_path):

@@ -1,19 +1,21 @@
-"""Extraction from sign/flag/offset fields and the hole-closing pass."""
+"""Extraction from sign/flag/offset fields and the hole-closing pass, and
+the 48-transform equivariance of every extractor."""
 
 from collections import Counter
 
 import numpy as np
 
-from ndcmesh.csg import Sphere, csg_normal_fn, random_scene
+from ndcmesh.csg import Box, Sphere, Subtract, Union, csg_normal_fn, random_scene
 from ndcmesh.datagen import sample_csg_grid
 from ndcmesh.dc import dc_extract, dc_fields
-from ndcmesh.grids import (EdgeField, GridDims, SignGrid, VertexOffsetGrid,
-                           signs_from_scalar, xor_flags)
-from ndcmesh.mesh import edge_topology_stats
+from ndcmesh.grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
+                           VertexOffsetGrid, signs_from_scalar, xor_flags)
+from ndcmesh.mc import mc_extract
+from ndcmesh.mesh import QuadMesh, edge_topology_stats
 from ndcmesh.ndc import close_holes, ndc_extract, undc_extract
 from ndcmesh.rng import rng_for
 from ndcmesh.transforms import (NUM_SPATIAL, transform_edge_field, transform_offsets,
-                                transform_points, transform_sign_grid)
+                                transform_points, transform_scalar_grid, transform_sign_grid)
 
 
 def centered_offsets(dims: GridDims) -> VertexOffsetGrid:
@@ -295,7 +297,8 @@ def test_hole_closing_matches_the_slice_reference_bit_for_bit():
 def face_set(mesh, dims: GridDims, transform_id: int = 0) -> Counter:
     """Faces as unordered sets of (transformed) vertex positions."""
     points = np.round(transform_points(mesh.vertices, dims, transform_id), 9)
-    return Counter(frozenset(map(tuple, points[quad])) for quad in mesh.quads)
+    faces = mesh.quads if isinstance(mesh, QuadMesh) else mesh.tris
+    return Counter(frozenset(map(tuple, points[face])) for face in faces)
 
 
 def test_extraction_and_hole_closing_commute_with_the_48_spatial_transforms():
@@ -321,3 +324,36 @@ def test_extraction_and_hole_closing_commute_with_the_48_spatial_transforms():
                 == face_set(ndc_mesh, dims, t)), t
         assert (face_set(undc_extract(moved_flags, moved_offsets), moved_dims)
                 == face_set(undc_mesh, dims, t)), t
+
+
+def cell_pieces(mesh, dims: GridDims, transform_id: int = 0) -> Counter:
+    """The (transformed) vertex positions of each cell's triangles."""
+    points = np.round(transform_points(mesh.vertices, dims, transform_id), 9)
+    pieces = {}
+    for tri in mesh.tris:
+        cell = tuple(np.floor(points[tri].mean(axis=0)).astype(int))
+        pieces.setdefault(cell, set()).update(map(tuple, points[tri]))
+    return Counter(frozenset(piece) for piece in pieces.values())
+
+
+def test_classical_extraction_commutes_with_the_48_spatial_transforms():
+    """dc_extract of a transformed grid is the transformed mesh. The MC
+    table splits a cell's surface piece along diagonals that a transform
+    does not carry along, so for mc_extract each cell's piece is compared."""
+    q, _ = np.linalg.qr(rng_for(24, "rotation").normal(size=(3, 3)))
+    scene = Subtract(Union(Box((4.6, 5.2, 5.9), (2.6, 2.1, 3.0), tuple(map(tuple, q))),
+                           Sphere((6.3, 4.4, 6.2), 2.7)),
+                     Sphere((3.0, 7.0, 4.0), 1.6))
+    noise_dims = GridDims(6, 7, 8)
+    noise = ScalarGrid(noise_dims, GridKind.SDF,
+                       rng_for(24, "noise").random(noise_dims.vertex_shape) - 0.45)
+    grids = [sample_csg_grid(scene, GridDims(11, 12, 13)), noise]
+    for g, grid in enumerate(grids):
+        dc_mesh, mc_mesh = dc_extract(grid), mc_extract(grid)
+        assert len(dc_mesh.quads) > 200 and len(mc_mesh.tris) > 400
+        for t in range(NUM_SPATIAL):
+            moved = transform_scalar_grid(grid, t)
+            assert (face_set(dc_extract(moved), moved.dims)
+                    == face_set(dc_mesh, grid.dims, t)), (g, t)
+            assert (cell_pieces(mc_extract(moved), moved.dims)
+                    == cell_pieces(mc_mesh, grid.dims, t)), (g, t)

@@ -1,16 +1,19 @@
 """Networks and training: the point network's backward pass against
 finite differences, its invariance to point order, neighbor queries
-against a brute-force order, reproducible training runs and divergence."""
+against a brute-force order, reproducible training runs and divergence,
+and set-restricted prediction against the dense pass."""
 
 import numpy as np
 import pytest
 
 from ndcmesh.csg import random_scene
-from ndcmesh.datagen import make_training_sample, sample_point_cloud
-from ndcmesh.errors import TrainingDiverged
+from ndcmesh.datagen import cloud_active_cells, make_training_sample, sample_point_cloud
+from ndcmesh.errors import NonFiniteValues, TrainingDiverged
 from ndcmesh.fileio import save_weights
-from ndcmesh.grids import GridDims
-from ndcmesh.nn import PointNetwork, TrainConfig, knn_indices, train_network
+from ndcmesh.grids import GridDims, GridKind, ScalarGrid
+from ndcmesh.nn import (GRID_VARIANTS, GridNetwork, PointNetwork, TrainConfig, knn_indices,
+                        sigmoid, train_network)
+from ndcmesh.nn.network import band_sets, stack_rows
 from ndcmesh.rng import rng_for
 
 FD_H = 1e-6
@@ -116,3 +119,147 @@ def test_a_diverging_run_raises_training_diverged():
     config = TrainConfig("sdf_v", channels=4, lr=float("inf"), epochs=3, seed=45)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
         train_network(config, samples)
+
+
+# ---------------------------------------------------------------- prediction
+
+
+def random_biases(net, seed):
+    """Nonzero biases, so that no layer's output is a plain channel mix."""
+    for i, layer in enumerate(net.param_layers()):
+        layer.bias.value[:] = rng_for(seed, "bias", i).standard_normal(layer.bias.value.shape)
+    return net
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stack_rows_equal_the_dense_pass_bit_for_bit():
+    stacks = [GridNetwork(v, channels=6, seed=50, dtype=dt).trunk
+              for v in GRID_VARIANTS for dt in (np.float32, np.float64)]
+    stacks += [PointNetwork(h, channels=5, seed=50, dtype=dt).grid
+               for h in ("flag", "vertex") for dt in (np.float32, np.float64)]
+    shape = (9, 2, 7)
+    rng = rng_for(50, "stack-rows")
+    masks = {"empty": np.zeros(shape, dtype=bool), "full": np.ones(shape, dtype=bool),
+             "border corner": np.zeros(shape, dtype=bool), "random": rng.random(shape) < 0.1}
+    masks["border corner"][-1, :, -1] = True
+    for i, stack in enumerate(stacks):
+        random_biases(stack, i)
+        c_in = stack.layers[0].in_channels
+        dtype = stack.layers[0].weight.value.dtype
+        x = rng.standard_normal((c_in,) + shape).astype(dtype)
+        dense = stack.forward(x)
+        for name, out in masks.items():
+            sets = band_sets(stack, out)
+            assert all(np.array_equal(a, a | b) for a, b in zip(sets, sets[1:]))
+            rows = stack_rows(stack, x[:, sets[0]], sets)
+            assert same_bits(rows, dense[:, out]), (i, name)
+
+
+def expected_grid_output(net, grid, probs):
+    """The documented prediction from dense probabilities: predicted on
+    the supervision band S and filled elsewhere."""
+    v = grid.values
+    if grid.kind is GridKind.OCC:
+        occ = v[:-1, :-1, :-1] > 0.5
+        surface = occ.copy()
+        for ix in np.argwhere(occ):
+            lo, hi = np.maximum(ix - 1, 0), ix + 2
+            window = occ[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
+            surface[tuple(ix)] = window.size < 27 or not window.all()
+        band = np.zeros(v.shape, dtype=bool)
+        for ix in np.argwhere(surface):
+            band[ix[0]:ix[0] + 2, ix[1]:ix[1] + 2, ix[2]:ix[2] + 2] = True
+        own = v > 0.5
+    else:
+        band = np.abs(v) < 1.0
+        own = v < 0
+    cells = np.array(v.shape) - 1
+    if net.head == "sign":
+        return np.where(band, probs[0] > 0.5, own)
+    out = np.where(net.head == "vertex", 0.5, 0.0) * np.ones((3,) + tuple(cells))
+    for ix in np.ndindex(*cells):
+        corners = band[ix[0]:ix[0] + 2, ix[1]:ix[1] + 2, ix[2]:ix[2] + 2]
+        for a in range(3):
+            upper = np.add(ix, np.eye(3, dtype=int)[a])
+            if net.head == "vertex" and corners.any():
+                out[(a,) + ix] = probs[(a,) + ix]
+            elif net.head == "flag" and band[ix] and band[tuple(upper)]:
+                out[(a,) + ix] = probs[(a,) + ix]
+    return out
+
+
+def prediction_grids():
+    """SDF and occupancy grids with a 2-wide axis: a band that touches
+    the border, and one that is empty; and an occupied block whose
+    interior lies outside the band."""
+    dims = GridDims(8, 2, 7)
+    p = np.stack(np.meshgrid(*[np.arange(n, dtype=np.float64) for n in dims.vertex_shape],
+                             indexing="ij"), axis=-1)
+    plane = p @ np.array([0.6, 0.3, -0.74]) - 0.9
+    occ = np.zeros(dims.vertex_shape)
+    occ[:-1, :-1, :-1] = plane[:-1, :-1, :-1] < 0
+    block = np.zeros((9, 8, 7))
+    block[1:7, 1:6, 1:5] = 1.0
+    return {GridKind.SDF: [ScalarGrid(dims, GridKind.SDF, plane),
+                           ScalarGrid(dims, GridKind.SDF, np.full(dims.vertex_shape, -3.0))],
+            GridKind.OCC: [ScalarGrid(dims, GridKind.OCC, occ),
+                           ScalarGrid(dims, GridKind.OCC, np.zeros(dims.vertex_shape)),
+                           ScalarGrid(GridDims(9, 8, 7), GridKind.OCC, block)]}
+
+
+def test_grid_predictions_equal_the_dense_pass_on_the_band_and_the_fill_elsewhere():
+    grids = prediction_grids()
+    for variant in GRID_VARIANTS:
+        for dtype in (np.float32, np.float64):
+            net = random_biases(GridNetwork(variant, channels=5, seed=51, dtype=dtype), 51)
+            for grid in grids[GridKind.OCC if net.input_kind == "occ" else GridKind.SDF]:
+                probs = sigmoid(net.forward_logits(net.input_tensor(grid)))
+                want = expected_grid_output(net, grid, probs)
+                got = net.predict(grid)
+                if net.head == "sign":
+                    assert np.array_equal(got.inside, want), variant
+                elif net.head == "vertex":
+                    assert same_bits(got.offsets, np.moveaxis(want, 0, -1)), variant
+                else:
+                    for a in range(3):
+                        owned = got.axis(a)[: want.shape[1], : want.shape[2], : want.shape[3]]
+                        assert np.array_equal(owned, want[a] > 0.5), (variant, a)
+                        assert owned.sum() == got.axis(a).sum(), (variant, a)
+
+
+def test_point_predictions_equal_the_dense_pass_on_active_cells_and_the_fill_elsewhere():
+    for dims in (GridDims(9, 2, 8), GridDims(14, 14, 14)):
+        cloud = 0.3 + rng_for(52, "cloud").random((40, 3)) * np.array([2.0, 0.5, 3.0])
+        active = cloud_active_cells(cloud, dims)
+        assert active.any() and not active.all()
+        for head in ("flag", "vertex"):
+            for dtype in (np.float32, np.float64):
+                net = random_biases(PointNetwork(head, channels=5, seed=52, dtype=dtype,
+                                                 resblocks=1), 52)
+                probs = sigmoid(net.forward_logits(cloud, dims))
+                want = np.where(active, probs, 0.5 if head == "vertex" else 0.0)
+                got = net.predict(cloud, dims)
+                if head == "vertex":
+                    assert same_bits(got.offsets, np.moveaxis(want, 0, -1).astype(np.float64))
+                else:
+                    cells = dims.cell_shape
+                    for a in range(3):
+                        owned = got.axis(a)[: cells[0], : cells[1], : cells[2]]
+                        assert np.array_equal(owned, want[a] > 0.5), (dims, a)
+                        assert owned.sum() == got.axis(a).sum(), (dims, a)
+
+
+def test_non_finite_clouds_are_rejected_before_any_work():
+    dims = GridDims(5, 5, 5)
+    with pytest.raises(NonFiniteValues):
+        cloud_active_cells(np.array([[np.nan, 2.0, 2.0]]), dims)
+    cloud = 1.0 + 2.0 * rng_for(53, "cloud").random((12, 3))
+    cloud[4, 1] = np.inf
+    net = PointNetwork("flag", channels=4, seed=53)
+    with pytest.raises(NonFiniteValues):
+        net.predict(cloud, dims)
+    with pytest.raises(NonFiniteValues):
+        net.forward_logits(cloud, dims)
