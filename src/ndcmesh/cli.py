@@ -40,7 +40,7 @@ from .mc import mc_extract
 from .mesh import QuadMesh, TriMesh, edge_topology_stats, split_quads
 from .metrics import evaluate_mesh
 from .ndc import close_holes, ndc_extract, undc_extract
-from .nn import TrainConfig, train_network
+from .nn import TrainConfig, cloud_neighbors, train_network
 from .rng import derive_seed
 
 MANIFEST_NAME = "manifest.txt"
@@ -250,6 +250,7 @@ def cmd_infer(args) -> None:
         raise UsageError("pass --grid FILE or --cloud FILE")
     suffix = {"sign": "_signs.ndcg", "vertex": "_vertices.ndcg",
               "flag": "_flags.ndcg"}
+    neighbors = None  # the cloud is read, and its neighborhoods found, once
     for wpath in args.weights:
         net = fileio.load_weights(wpath)
         if net.variant == "pc_encoder":
@@ -257,9 +258,14 @@ def cmd_infer(args) -> None:
                 raise UsageError(f"{wpath} is a point-cloud network; pass --cloud")
             if args.res is None:
                 raise UsageError("--res is required with --cloud")
+            if neighbors is None:
+                neighbors = cloud_neighbors(fileio.read_xyz(args.cloud),
+                                            GridDims(args.res, args.res, args.res))
+            pred = net.predict(neighbors, neighbors.dims)
         elif not args.grid:
             raise UsageError(f"{wpath} is a grid network; pass --grid")
-        pred = _predict(net, args.grid, args.cloud, args.res, KIND_NAMES.get(args.grid_kind))
+        else:
+            pred = _predict(net, args.grid, args.cloud, args.res, KIND_NAMES.get(args.grid_kind))
         out = args.out_prefix + suffix[net.head]
         fileio.write_grid(out, pred)
         print(f"{net.variant}/{net.head} -> {out}")

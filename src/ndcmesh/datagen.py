@@ -9,9 +9,11 @@ unsigned) the sample targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from ._dual import active_cell_mask, cells_to_edge_field, interior_edges, ring_cells
 from .csg import CsgShape, csg_gradient
@@ -39,6 +41,11 @@ BAND_WIDTH = 1.0  # field units: supervision band for grid inputs
 ACTIVE_MANHATTAN = 3  # cell units: active band around a point cloud
 PROBE_DOUBLINGS = 4  # CSG clouds: times the surface probe box may double
 SIDE_TOL = 1e-9  # cell units: a lattice line this close to a triangle side is on it
+PAIR_CHUNK = 1 << 16  # (point, triangle) pairs the mesh distance tests at once
+CULL_BLOCK = 2  # lattice points per block side when listing distance candidates
+SEED_TRIS = 4  # triangles whose distance bounds a block's points from above
+REACH_STEP = 0.5  # cell units: candidate radii are listed in steps of this
+CULL_SLACK = 1e-6  # cell units: rounding margin of the distance candidate bound
 
 
 @dataclass
@@ -245,40 +252,49 @@ def _mesh_edge_data(mesh: TriMesh, dims: GridDims, inside: np.ndarray | None):
     return flags, tvals, normals
 
 
-def gt_edge_data(source: CsgShape | TriMesh, dims: GridDims):
+def gt_edge_data(source: CsgShape | TriMesh, dims: GridDims, inside: np.ndarray | None = None):
     """Exact crossing flags, parameters, and unit normals per edge.
 
     CSG scenes refine roots by bisection of the analytic field; meshes
     intersect every lattice line with every triangle and take the face
-    normal, preferring the intersection nearest the inside endpoint when
-    signs are available.
+    normal. Where a mesh meets an edge more than once, the intersection
+    nearest the edge's inside endpoint wins, else the one nearest its
+    lower endpoint. `inside` holds the lattice signs of a mesh when the
+    caller has them; without it, a watertight mesh's parity signs are
+    computed here and an open mesh has none.
     """
     if isinstance(source, CsgShape):
         return _csg_edge_data(source, dims)
     if isinstance(source, TriMesh):
-        inside = _mesh_parity_inside(source, dims) if edge_topology_stats(source).closed else None
+        if inside is None and edge_topology_stats(source).closed:
+            inside = _mesh_parity_inside(source, dims)
         return _mesh_edge_data(source, dims, inside)
     raise InvalidKind(f"unsupported ground-truth source: {type(source).__name__}")
 
 
-def mesh_to_sdf_grid(mesh: TriMesh, dims: GridDims, kind: GridKind = GridKind.SDF) -> ScalarGrid:
-    """Distance field of a triangle mesh sampled at the lattice.
+def mesh_to_sdf_grid(mesh: TriMesh, dims: GridDims, kind: GridKind = GridKind.SDF,
+                     inside: np.ndarray | None = None) -> ScalarGrid:
+    """Exact distance field of a triangle mesh sampled at the lattice.
 
-    SDF requires a watertight mesh (signs from 3-ray parity majority);
-    UDF accepts open sheets.
+    The distance to the nearest triangle is exact (_unsigned_distance
+    culls the triangles by their centroids and holds a bounded number of
+    point-triangle pairs at once). SDF requires a watertight mesh and
+    negates the distance where `inside`, the 3-ray parity majority, is
+    set: it is computed here unless a caller that has checked the mesh
+    passes it. UDF accepts open sheets.
     """
     if len(mesh.tris) == 0:
         raise EmptyMesh("cannot build a distance field from an empty mesh")
     if kind == GridKind.OCC:
         raise InvalidKind("use occupancy_from_mesh for voxel input")
+    if kind == GridKind.SDF and inside is None:
+        if not edge_topology_stats(mesh).closed:
+            raise OpenMeshError("signed distance needs a watertight mesh")
+        inside = _mesh_parity_inside(mesh, dims)
     dist = _unsigned_distance(mesh, dims)
     if kind == GridKind.UDF:
         return ScalarGrid(dims, kind, dist)
-    if not edge_topology_stats(mesh).closed:
-        raise OpenMeshError("signed distance needs a watertight mesh")
-    inside = _mesh_parity_inside(mesh, dims)
-    vals = np.where(inside, -dist, dist)
-    return ScalarGrid(dims, GridKind.SDF, vals)
+    return ScalarGrid(dims, GridKind.SDF, np.where(inside, -dist, dist))
 
 
 def occupancy_from_mesh(mesh: TriMesh, dims: GridDims) -> ScalarGrid:
@@ -294,57 +310,171 @@ def occupancy_from_mesh(mesh: TriMesh, dims: GridDims) -> ScalarGrid:
     return ScalarGrid(dims, GridKind.OCC, out)
 
 
-def _unsigned_distance(mesh: TriMesh, dims: GridDims, chunk: int = 2048) -> np.ndarray:
-    """Exact point-triangle distances, chunked over lattice points."""
-    pts = lattice_points(dims).reshape(-1, 3)
-    v = mesh.vertices
-    a = v[mesh.tris[:, 0]]
-    ab = v[mesh.tris[:, 1]] - a
-    ac = v[mesh.tris[:, 2]] - a
-    out = np.empty(len(pts))
-    for s in range(0, len(pts), chunk):
-        p = pts[s : s + chunk]
-        d2 = _point_tri_dist2(p, a, ab, ac)
-        out[s : s + chunk] = np.sqrt(d2.min(axis=1))
-    return out.reshape(dims.vertex_shape)
+class _TriTerms(NamedTuple):
+    """The per-triangle terms of the point-triangle distance, one row per
+    triangle: corner a, sides ab and ac, corner b and side bc = ac - ab,
+    and the dot products d00 = ab.ab, d01 = ab.ac, d11 = ac.ac and
+    dcc = bc.bc."""
+
+    a: np.ndarray
+    ab: np.ndarray
+    ac: np.ndarray
+    b: np.ndarray
+    bc: np.ndarray
+    d00: np.ndarray
+    d01: np.ndarray
+    d11: np.ndarray
+    dcc: np.ndarray
+
+    @classmethod
+    def of(cls, corners: np.ndarray) -> _TriTerms:
+        a = corners[:, 0]
+        ab = corners[:, 1] - a
+        ac = corners[:, 2] - a
+        bc = ac - ab
+        return cls(a, ab, ac, a + ab, bc, _rowdot(ab, ab), _rowdot(ab, ac), _rowdot(ac, ac),
+                   _rowdot(bc, bc))
+
+    def take(self, rows: np.ndarray) -> _TriTerms:
+        return _TriTerms(*(term.take(rows, axis=0) for term in self))
 
 
-def _point_tri_dist2(p: np.ndarray, a: np.ndarray, ab: np.ndarray, ac: np.ndarray) -> np.ndarray:
-    """Squared distances, shape (P, T).
+def _unsigned_distance(mesh: TriMesh, dims: GridDims, chunk: int = PAIR_CHUNK) -> np.ndarray:
+    """Exact distance from every lattice point to the nearest triangle.
+
+    Lattice points are taken in blocks of CULL_BLOCK^3. A point's upper
+    bound `ub` is its exact distance to the nearest of the SEED_TRIS
+    triangles whose centroids lie nearest its block's center (a cKDTree
+    query), plus CULL_SLACK for rounding. A triangle lies within
+    `radius`, its farthest corner, of its centroid, so only triangles
+    with |p - centroid| <= ub + radius can be nearer: each block lists
+    these candidates once with a bound that covers all its points, each
+    point keeps its own, and the exact distances of the candidate pairs
+    are reduced per point with a min. A pair's value does not depend on
+    which other pairs are computed, and a min is exact in any order, so
+    the result is bit-identical to comparing every point with every
+    triangle.
+
+    At most `chunk` (point, triangle) pairs are tested at once (one
+    block's pairs may exceed it), so memory follows the chunk, not
+    points x triangles.
+    """
+    corners = mesh.vertices[mesh.tris]
+    terms = _TriTerms.of(corners)
+    centroid = corners.mean(axis=1)
+    spoke = corners - centroid[:, None]
+    radius = np.sqrt(np.einsum("tcd,tcd->tc", spoke, spoke).max(axis=1))
+    tree = cKDTree(centroid)
+
+    index = _lattice_blocks(dims, CULL_BLOCK)  # (blocks, CULL_BLOCK^3, 3)
+    pts = index.astype(np.float64)
+    center = pts.mean(axis=1)
+    size = pts.shape[1]
+    seeds = tree.query(center, k=min(SEED_TRIS, len(centroid)))[1].reshape(len(pts), -1)
+    budget = max(1, chunk // size)  # blocks, or candidate triangles per block point
+    best = np.full(pts.shape[:2], np.inf)
+    for s in range(0, len(pts), budget):
+        p = pts[s : s + budget].reshape(-1, 3)
+        for seed in seeds[s : s + budget].T:
+            d2 = _point_tri_dist2(p, terms.take(np.repeat(seed, size))).reshape(-1, size)
+            best[s : s + budget] = np.minimum(best[s : s + budget], d2)
+    ub = np.sqrt(best) + CULL_SLACK
+
+    # a block's bound covers every point's: |q - centroid| <= ub + |p - q| + radius
+    off = pts - center[:, None]
+    reach = (ub + np.sqrt(np.einsum("bsd,bsd->bs", off, off))).max(axis=1)
+    for blk, tri in _ball_pairs(tree, center, reach + radius.max(), budget):
+        gap = center.take(blk, axis=0) - centroid.take(tri, axis=0)
+        near = _rowdot(gap, gap) <= (reach[blk] + radius[tri]) ** 2
+        blk, tri = blk[near], tri[near]
+        gap = pts.take(blk, axis=0) - centroid.take(tri, axis=0)[:, None]
+        bound = ub.take(blk, axis=0) + radius[tri][:, None]
+        cand = np.einsum("nsd,nsd->ns", gap, gap) <= bound * bound
+        row, slot = np.nonzero(cand)
+        if len(row):
+            d2 = np.full(cand.shape, np.inf)
+            p = pts.reshape(-1, 3).take(blk[row] * size + slot, axis=0)
+            d2[row, slot] = _point_tri_dist2(p, terms.take(tri[row]))
+            starts = np.flatnonzero(np.r_[True, blk[1:] != blk[:-1]])
+            hit = blk[starts]
+            best[hit] = np.minimum(best[hit], np.minimum.reduceat(d2, starts, axis=0))
+
+    out = np.empty(dims.vertex_shape)
+    out[index[..., 0], index[..., 1], index[..., 2]] = np.sqrt(best)
+    return out
+
+
+def _ball_pairs(tree: cKDTree, center: np.ndarray, reach: np.ndarray, budget: int):
+    """Yield (ball, point) index pairs of the tree's points within
+    reach[ball] of center[ball], in batches of at most `budget` pairs (a
+    single ball may exceed it), sorted by ball within a batch.
+
+    Each reach is rounded up to a multiple of REACH_STEP, so a batch is
+    one sparse_distance_matrix call at one radius, and return_length
+    counts its pairs beforehand; a ball may list a point slightly beyond
+    its own reach.
+    """
+    level = np.ceil(reach / REACH_STEP) * REACH_STEP
+    for r in np.unique(level):
+        balls = np.flatnonzero(level == r)
+        ends = np.cumsum(tree.query_ball_point(center[balls], r, return_length=True))
+        first = 0
+        while first < len(balls):
+            done = ends[first - 1] if first else 0
+            last = max(first + 1, int(np.searchsorted(ends, done + budget, side="right")))
+            pairs = cKDTree(center[balls[first:last]]).sparse_distance_matrix(
+                tree, r, output_type="ndarray")
+            order = np.argsort(pairs["i"], kind="stable")
+            yield balls[first:last][pairs["i"][order]], pairs["j"][order]
+            first = last
+
+
+def _lattice_blocks(dims: GridDims, side: int) -> np.ndarray:
+    """Lattice indices in blocks of side^3, shape (blocks, side^3, 3);
+    border blocks repeat the last lattice index in place of missing ones."""
+    sizes = np.asarray(dims.vertex_shape)
+    axes = [np.arange(0, n, side) for n in sizes]
+    origin = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 1, 3)
+    step = np.stack(np.meshgrid(*[np.arange(side)] * 3, indexing="ij"), axis=-1).reshape(1, -1, 3)
+    return np.minimum(origin + step, sizes - 1)
+
+
+def _point_tri_dist2(p: np.ndarray, tri: _TriTerms) -> np.ndarray:
+    """Squared distance from p[i] to triangle tri[i], one pair per row.
 
     Orthogonal plane projection where the foot lands inside the
     triangle, otherwise the nearest of the three boundary segments.
     """
-    ap = p[:, None, :] - a[None, :, :]
-    d1 = np.einsum("td,ptd->pt", ab, ap)
-    d2 = np.einsum("td,ptd->pt", ac, ap)
-    d00 = np.einsum("td,td->t", ab, ab)[None]
-    d01 = np.einsum("td,td->t", ab, ac)[None]
-    d11 = np.einsum("td,td->t", ac, ac)[None]
-    denom = d00 * d11 - d01 * d01
+    ap = p - tri.a
+    d1 = _rowdot(tri.ab, ap)
+    d2 = _rowdot(tri.ac, ap)
+    denom = tri.d00 * tri.d11 - tri.d01 * tri.d01
     safe = np.where(denom > 0, denom, 1.0)
-    v = (d11 * d1 - d01 * d2) / safe
-    w = (d00 * d2 - d01 * d1) / safe
+    v = (tri.d11 * d1 - tri.d01 * d2) / safe
+    w = (tri.d00 * d2 - tri.d01 * d1) / safe
     inside = (v >= 0) & (w >= 0) & (v + w <= 1) & (denom > 0)
 
-    best = _seg_point_d2(p, a, ab)
-    best = np.minimum(best, _seg_point_d2(p, a, ac))
-    best = np.minimum(best, _seg_point_d2(p, a + ab, ac - ab))
+    best = _seg_point_d2(p, tri.a, tri.ab, d1, tri.d00)
+    best = np.minimum(best, _seg_point_d2(p, tri.a, tri.ac, d2, tri.d11))
+    best = np.minimum(best, _seg_point_d2(p, tri.b, tri.bc, _rowdot(tri.bc, p - tri.b), tri.dcc))
 
-    foot = a[None] + v[..., None] * ab[None] + w[..., None] * ac[None]
-    diff = p[:, None, :] - foot
-    inner = np.einsum("ptd,ptd->pt", diff, diff)
-    return np.where(inside, np.minimum(inner, best), best)
+    foot = tri.a + v[:, None] * tri.ab + w[:, None] * tri.ac
+    diff = p - foot
+    return np.where(inside, np.minimum(_rowdot(diff, diff), best), best)
 
 
-def _seg_point_d2(p: np.ndarray, start: np.ndarray, d: np.ndarray) -> np.ndarray:
-    sp = p[:, None, :] - start[None, :, :]
-    dd = np.einsum("td,td->t", d, d)[None]
-    t = np.einsum("td,ptd->pt", d, sp) / np.where(dd > 0, dd, 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    foot = start[None] + t[..., None] * d[None]
-    diff = p[:, None, :] - foot
-    return np.einsum("ptd,ptd->pt", diff, diff)
+def _seg_point_d2(p: np.ndarray, start: np.ndarray, d: np.ndarray, dot: np.ndarray,
+                  dd: np.ndarray) -> np.ndarray:
+    """Squared distance from p[i] to the segment start[i] + [0, 1] d[i],
+    given dot = d . (p - start) and dd = d . d per row."""
+    t = np.clip(dot / np.where(dd > 0, dd, 1.0), 0.0, 1.0)
+    diff = p - (start + t[:, None] * d)
+    return _rowdot(diff, diff)
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, 3) arrays."""
+    return np.einsum("nd,nd->n", x, y)
 
 
 def pseudo_gt_vertices(crossings: EdgeField, normals: EdgeField, dims: GridDims) -> VertexOffsetGrid:
@@ -567,10 +697,8 @@ def make_training_sample(
     if not wants_cloud:
         kind = GridKind(kind) if isinstance(kind, str) else kind
 
-    flags, tvals, normals = gt_edge_data(source, dims)
-    offsets = pseudo_gt_vertices(tvals, normals, dims)
-
     if isinstance(source, CsgShape):
+        flags, tvals, normals = gt_edge_data(source, dims)
         sdf = sample_csg_grid(source, dims, GridKind.SDF)
         gt_signs = signs_from_scalar(sdf)
         if wants_cloud:
@@ -581,17 +709,24 @@ def make_training_sample(
             grid = ScalarGrid(dims, GridKind.UDF, np.abs(sdf.values))
         else:
             grid = sample_csg_grid(source, dims, GridKind.OCC)
-    else:
-        if edge_topology_stats(source).closed:
-            gt_signs = SignGrid(dims, _mesh_parity_inside(source, dims))
-        else:
-            gt_signs = SignGrid(dims, np.zeros(dims.vertex_shape, dtype=bool))
+    elif isinstance(source, TriMesh):
+        # one watertight check and one parity pass serve the signs, the
+        # edge data and the SDF; an open mesh is outside everywhere,
+        # which gives the edge data the same preference as no signs
+        closed = edge_topology_stats(source).closed
+        inside = (_mesh_parity_inside(source, dims) if closed
+                  else np.zeros(dims.vertex_shape, dtype=bool))
+        flags, tvals, normals = gt_edge_data(source, dims, inside)
+        gt_signs = SignGrid(dims, inside)
         if wants_cloud:
             grid = None
         elif kind == GridKind.OCC:
             grid = occupancy_from_mesh(source, dims)
         else:
-            grid = mesh_to_sdf_grid(source, dims, kind)
+            grid = mesh_to_sdf_grid(source, dims, kind, inside if closed else None)
+    else:
+        raise InvalidKind(f"unsupported ground-truth source: {type(source).__name__}")
+    offsets = pseudo_gt_vertices(tvals, normals, dims)
 
     cloud = None
     if wants_cloud:

@@ -21,13 +21,18 @@ pass costs the same for every cloud.
 
 Both neighborhoods hold K_NEIGHBORS points, and the active reach is
 datagen.ACTIVE_MANHATTAN, the one the supervision masks use; neither is
-an option of the network.
+an option of the network. So they depend on the cloud alone:
+cloud_neighbors finds them once, and every network that reads the same
+cloud (`ndcmesh infer` with a flag and a vertex head) takes the same
+CloudNeighbors.
 
 Neighbor queries break distance ties by the smaller point index. The
 neighbor sets therefore do not depend on the input point order, except
 where several points tie at the k-th distance: then the ones that come
 first in the cloud are kept.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -106,6 +111,36 @@ def _tied_knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class CloudNeighbors:
+    """What the point networks compute from a cloud alone, whatever their
+    weights: the K_NEIGHBORS nearest points of every point and of every
+    active cell center, and the active cell mask."""
+
+    cloud: np.ndarray  # (N, 3) float64
+    dims: GridDims
+    points: np.ndarray  # (N, K) point indices
+    active: np.ndarray  # cell mask, datagen.cloud_active_cells
+    cells: np.ndarray  # (active cells, K) point indices, cells in C order
+
+
+def cloud_neighbors(cloud: np.ndarray, dims: GridDims) -> CloudNeighbors:
+    """Check a cloud and find its neighborhoods, one KD-tree for both."""
+    cloud = np.asarray(cloud, dtype=np.float64)
+    if cloud.ndim != 2 or cloud.shape[1] != 3:
+        raise ShapeError(f"cloud must be (N, 3), got {cloud.shape}")
+    if not np.all(np.isfinite(cloud)):
+        raise NonFiniteValues("point cloud coordinates must be finite")
+    if len(cloud) < K_NEIGHBORS:
+        raise TooFewPoints(
+            f"point network needs at least {K_NEIGHBORS} points, got {len(cloud)}")
+    tree = cKDTree(cloud)
+    points = knn_indices(cloud, cloud, K_NEIGHBORS, tree=tree)
+    active = cloud_active_cells(cloud, dims, ACTIVE_MANHATTAN)
+    cells = knn_indices(cloud, np.argwhere(active) + 0.5, K_NEIGHBORS, tree=tree)
+    return CloudNeighbors(cloud, dims, points, active, cells)
+
+
 class PointNetwork(Layer):
     variant = "pc_encoder"
 
@@ -138,57 +173,47 @@ class PointNetwork(Layer):
     def param_layers(self):
         return Sequential([self.point_enc, self.res, self.cell_enc, self.grid]).param_layers()
 
-    def _cell_features(self, cloud: np.ndarray, dims: GridDims):
-        """Stages one and two: (active cell mask, (active cells, channels)
-        features in C order, cell-query neighbor indices)."""
-        cloud = np.asarray(cloud, dtype=np.float64)
-        if cloud.ndim != 2 or cloud.shape[1] != 3:
-            raise ShapeError(f"cloud must be (N, 3), got {cloud.shape}")
-        if not np.all(np.isfinite(cloud)):
-            raise NonFiniteValues("point cloud coordinates must be finite")
-        n = len(cloud)
-        if n < K_NEIGHBORS:
-            raise TooFewPoints(
-                f"point network needs at least {K_NEIGHBORS} points, got {n}")
-        tree = cKDTree(cloud)
-        nb1 = knn_indices(cloud, cloud, K_NEIGHBORS, tree=tree)
-        rel1 = (cloud[nb1] - cloud[:, None, :]).astype(self.dtype)
+    def _cell_features(self, nb: CloudNeighbors) -> np.ndarray:
+        """Stages one and two: (active cells, channels) features in C order."""
+        cloud = nb.cloud
+        rel1 = (cloud[nb.points] - cloud[:, None, :]).astype(self.dtype)
         feats = self.point_pool.forward(self.point_enc.forward(rel1))
         feats = self.res.forward(feats)
 
-        active = cloud_active_cells(cloud, dims, ACTIVE_MANHATTAN)
-        centers = np.argwhere(active) + 0.5
-        nb2 = knn_indices(cloud, centers, K_NEIGHBORS, tree=tree)
-        rel2 = (cloud[nb2] - centers[:, None, :]).astype(self.dtype)
-        cat = np.concatenate([rel2, feats[nb2]], axis=-1)
-        return active, self.cell_pool.forward(self.cell_enc.forward(cat)), nb2
+        centers = np.argwhere(nb.active) + 0.5
+        rel2 = (cloud[nb.cells] - centers[:, None, :]).astype(self.dtype)
+        cat = np.concatenate([rel2, feats[nb.cells]], axis=-1)
+        return self.cell_pool.forward(self.cell_enc.forward(cat))
 
-    def _logits(self, cloud: np.ndarray, dims: GridDims):
-        """(active cell mask, cell-query neighbor indices, logits over
-        the whole cell grid)."""
-        active, cell_feats, nb2 = self._cell_features(cloud, dims)
+    def _logits(self, cloud, dims: GridDims):
+        """(the cloud's neighborhoods, logits over the whole cell grid)."""
+        nb = cloud if isinstance(cloud, CloudNeighbors) else cloud_neighbors(cloud, dims)
+        if nb.dims != dims:
+            raise ShapeError(f"cloud neighborhoods are for {nb.dims}, not {dims}")
         vol = np.zeros((self.channels,) + dims.cell_shape, dtype=self.dtype)
-        vol[:, active] = cell_feats.T
-        return active, nb2, self.grid.forward(vol)
+        vol[:, nb.active] = self._cell_features(nb).T
+        return nb, self.grid.forward(vol)
 
-    def forward_logits(self, cloud: np.ndarray, dims: GridDims) -> np.ndarray:
-        active, nb2, logits = self._logits(cloud, dims)
-        self._cache = (len(cloud), nb2, active)
+    def forward_logits(self, cloud, dims: GridDims) -> np.ndarray:
+        """Logits over the whole cell grid; `cloud` is an (N, 3) array or
+        its CloudNeighbors."""
+        self._cache, logits = self._logits(cloud, dims)
         return logits
 
     def backward(self, glogits: np.ndarray) -> None:
-        n, nb2, active = self._cache
+        nb = self._cache
         gvol = self.grid.backward(glogits)
-        gcat = self.cell_enc.backward(self.cell_pool.backward(gvol[:, active].T))
-        gfeats = np.zeros((n, self.channels), dtype=glogits.dtype)
-        np.add.at(gfeats, nb2, gcat[..., 3:])
+        gcat = self.cell_enc.backward(self.cell_pool.backward(gvol[:, nb.active].T))
+        gfeats = np.zeros((len(nb.cloud), self.channels), dtype=glogits.dtype)
+        np.add.at(gfeats, nb.cells, gcat[..., 3:])
         gfeats = self.res.backward(gfeats)
         self.point_enc.backward(self.point_pool.backward(gfeats))
 
-    def predict(self, cloud: np.ndarray, dims: GridDims):
+    def predict(self, cloud, dims: GridDims):
         """Typed head output, predicted at the active cells; every other
         cell predicts no crossing on the flag head and the cell center on
-        the vertex head."""
-        active, _, logits = self._logits(cloud, dims)
-        probs = np.where(active, sigmoid(logits), 0.0 if self.head == "flag" else 0.5)
+        the vertex head. `cloud` is an (N, 3) array or its CloudNeighbors,
+        which several networks can share."""
+        nb, logits = self._logits(cloud, dims)
+        probs = np.where(nb.active, sigmoid(logits), 0.0 if self.head == "flag" else 0.5)
         return cell_head_output(self.head, probs, dims)

@@ -3,7 +3,13 @@
 import os
 import shutil
 
+import numpy as np
+
+import ndcmesh.nn.pointnet as pointnet
+from ndcmesh import fileio
 from ndcmesh.cli import cli_main
+from ndcmesh.grids import GridDims
+from ndcmesh.nn import make_network
 
 
 def run_chain(root: str) -> None:
@@ -168,3 +174,39 @@ def test_train_takes_the_network_from_the_dataset_kind_alone(tmp_path, capsys):
                          "--channels", "4"]) == 1, kind
         err = capsys.readouterr().err
         assert "sign" in err and "--variant" not in err, kind
+
+
+def test_infer_finds_a_clouds_neighborhoods_once_for_both_point_networks(tmp_path, monkeypatch):
+    cloud = 1.0 + 9.0 * np.random.default_rng(7).random((300, 3))
+    cloud_path = str(tmp_path / "cloud.xyz")
+    fileio.write_xyz(cloud_path, cloud)
+    cloud = fileio.read_xyz(cloud_path)
+    nets, argv = [], ["infer", "--cloud", cloud_path, "--res", "12",
+                      "--out-prefix", str(tmp_path / "pred")]
+    for head in ("flag", "vertex"):
+        net = make_network("pc_encoder", channels=6, seed=8, head=head)
+        path = str(tmp_path / f"pc_{head}.ndcw")
+        fileio.save_weights(path, net)
+        nets.append(fileio.load_weights(path))
+        argv += ["--weights", path]
+    calls = {"knn_indices": 0, "read_xyz": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(pointnet, "knn_indices")
+    count(fileio, "read_xyz")
+    assert cli_main(argv) == 0
+    # one query for the points, one for the active cell centers
+    assert calls == {"knn_indices": 2, "read_xyz": 1}
+    # each file is the one a network predicting alone writes
+    for net, suffix in zip(nets, ("_flags.ndcg", "_vertices.ndcg")):
+        alone = str(tmp_path / ("alone" + suffix))
+        fileio.write_grid(alone, net.predict(cloud, GridDims(12, 12, 12)))
+        with open(alone, "rb") as a, open(str(tmp_path / ("pred" + suffix)), "rb") as b:
+            assert a.read() == b.read(), suffix

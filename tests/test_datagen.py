@@ -1,11 +1,13 @@
 """Ground-truth fields, masks, clouds, and sample assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ndcmesh.csg import Box, Sphere, random_scene
-from ndcmesh.datagen import (BAND_WIDTH, SIDE_TOL, _triangle_columns,
-                             augment_sample, build_masks,
+from ndcmesh.datagen import (BAND_WIDTH, PAIR_CHUNK, SIDE_TOL, _triangle_columns,
+                             _unsigned_distance, augment_sample, build_masks,
                              cloud_active_cells, gt_edge_data,
                              make_training_sample, mesh_to_sdf_grid,
                              occupancy_from_mesh, plane_sheet_mesh,
@@ -385,6 +387,148 @@ def test_triangle_columns_match_the_per_triangle_reference():
                 want = reference_triangle_columns(mesh, axis, half_open)
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and np.array_equal(g, w), (axis, half_open)
+
+
+def reference_unsigned_distance(mesh, dims, chunk=256):
+    """Brute-force oracle of `_unsigned_distance`: every lattice point
+    against every triangle, (points, triangles) at a time."""
+    axes = [np.arange(s, dtype=np.float64) for s in dims.vertex_shape]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    v = mesh.vertices
+    a = v[mesh.tris[:, 0]]
+    ab = v[mesh.tris[:, 1]] - a
+    ac = v[mesh.tris[:, 2]] - a
+    out = np.empty(len(pts))
+    for s in range(0, len(pts), chunk):
+        out[s : s + chunk] = np.sqrt(reference_point_tri_dist2(pts[s : s + chunk], a, ab, ac).min(axis=1))
+    return out.reshape(dims.vertex_shape)
+
+
+def reference_point_tri_dist2(p, a, ab, ac):
+    """Squared distances, shape (P, T): the plane foot where it lands
+    inside the triangle, else the nearest of the three sides."""
+    ap = p[:, None, :] - a[None, :, :]
+    d1 = np.einsum("td,ptd->pt", ab, ap)
+    d2 = np.einsum("td,ptd->pt", ac, ap)
+    d00 = np.einsum("td,td->t", ab, ab)[None]
+    d01 = np.einsum("td,td->t", ab, ac)[None]
+    d11 = np.einsum("td,td->t", ac, ac)[None]
+    denom = d00 * d11 - d01 * d01
+    safe = np.where(denom > 0, denom, 1.0)
+    v = (d11 * d1 - d01 * d2) / safe
+    w = (d00 * d2 - d01 * d1) / safe
+    inside = (v >= 0) & (w >= 0) & (v + w <= 1) & (denom > 0)
+    best = reference_seg_point_d2(p, a, ab)
+    best = np.minimum(best, reference_seg_point_d2(p, a, ac))
+    best = np.minimum(best, reference_seg_point_d2(p, a + ab, ac - ab))
+    foot = a[None] + v[..., None] * ab[None] + w[..., None] * ac[None]
+    diff = p[:, None, :] - foot
+    inner = np.einsum("ptd,ptd->pt", diff, diff)
+    return np.where(inside, np.minimum(inner, best), best)
+
+
+def reference_seg_point_d2(p, start, d):
+    sp = p[:, None, :] - start[None, :, :]
+    dd = np.einsum("td,td->t", d, d)[None]
+    t = np.einsum("td,ptd->pt", d, sp) / np.where(dd > 0, dd, 1.0)
+    t = np.clip(t, 0.0, 1.0)
+    foot = start[None] + t[..., None] * d[None]
+    diff = p[:, None, :] - foot
+    return np.einsum("ptd,ptd->pt", diff, diff)
+
+
+def assert_distance_is_brute_force(mesh, dims):
+    want = reference_unsigned_distance(mesh, dims)
+    # 1 pair: every block is a batch of its own and exceeds it
+    for chunk in (PAIR_CHUNK, 1, 777):
+        assert np.array_equal(_unsigned_distance(mesh, dims, chunk), want), chunk
+    return want
+
+
+def test_culled_distance_equals_brute_force_on_lattice_aligned_and_shifted_meshes():
+    # marching cubes at 23^3 scaled into 12^3: vertices, sides and
+    # faces pass through lattice points
+    scene = random_scene(5, 11.0)
+    mc = mc_extract(sample_csg_grid(lambda p: 2.0 * scene(p / 2.0), GridDims(23, 23, 23)))
+    aligned = TriMesh(mc.vertices / 2.0, mc.tris)
+    dims = GridDims(12, 12, 12)
+    assert_distance_is_brute_force(aligned, dims)
+    assert_distance_is_brute_force(TriMesh(aligned.vertices + (0.137, 0.291, 0.402), aligned.tris),
+                                   dims)
+
+
+def test_culled_distance_equals_brute_force_on_an_open_sheet():
+    dims = GridDims(9, 11, 10)
+    sheet = plane_sheet_mesh(dims, axis=1, coord=4.37)
+    want = assert_distance_is_brute_force(sheet, dims)
+    assert np.array_equal(mesh_to_sdf_grid(sheet, dims, GridKind.UDF).values, want)
+
+
+def test_culled_distance_equals_brute_force_with_zero_area_triangles():
+    mesh = cube_mesh((4.2, 3.9, 4.1), 2.3)
+    v = np.concatenate([mesh.vertices, [[1.0, 1.0, 1.0], [3.0, 2.0, 5.0], [5.0, 3.0, 9.0],
+                                        [6.5, 1.25, 2.0]]])
+    n = len(mesh.vertices)
+    # a collinear triangle, one with a repeated corner, and a point
+    tris = np.concatenate([mesh.tris, [[n, n + 1, n + 2], [n, n + 3, n + 3],
+                                       [n + 3, n + 3, n + 3]]])
+    assert_distance_is_brute_force(TriMesh(v, tris), GridDims(9, 9, 9))
+
+
+def test_culled_distance_equals_brute_force_for_a_small_far_triangle():
+    tri = TriMesh([[1.2, 1.3, 1.1], [2.1, 1.45, 1.6], [1.5, 2.2, 1.9]], [[0, 1, 2]])
+    assert_distance_is_brute_force(tri, GridDims(20, 13, 17))
+
+
+def test_culled_distance_is_zero_at_lattice_points_on_a_vertex_side_or_face():
+    tri = TriMesh([[2.0, 2.0, 3.0], [6.0, 2.0, 3.0], [2.0, 6.0, 3.0]], [[0, 1, 2]])
+    dims = GridDims(9, 9, 7)
+    got = assert_distance_is_brute_force(tri, dims)
+    for vertex, side, hypotenuse, face in [((2, 2, 3), (4, 2, 3), (4, 4, 3), (3, 3, 3))]:
+        for p in (vertex, side, hypotenuse, face):
+            assert got[p] == 0.0, p
+    assert got[4, 4, 4] == 1.0
+    # a tilted triangle through lattice points on its face, (1, 1, 2) included
+    tilted = TriMesh([[0.0, 0.0, 0.0], [4.0, 0.0, 4.0], [0.0, 4.0, 4.0]], [[0, 1, 2]])
+    got = assert_distance_is_brute_force(tilted, GridDims(6, 6, 6))
+    assert got[1, 1, 2] < 1e-12 and got[0, 0, 0] == 0.0 and got[2, 0, 2] < 1e-12
+
+
+def test_culled_distance_finds_a_sliver_whose_centroid_sits_at_the_bound():
+    # lattice corner 0 of a one-block lattice is nearest the apex of a
+    # 30-cell sliver pointing at it along the diagonal u, so the sliver's
+    # centroid lies exactly its radius (20) plus its distance away; four
+    # small triangles facing the corner, a little farther, have the
+    # centroids nearest the block center
+    u = np.ones(3) / np.sqrt(3.0)
+    w = np.cross(u, [1.0, 0.0, 0.0])
+    w /= np.linalg.norm(w)
+    v = np.cross(u, w)
+    for gap in np.arange(1.9, 2.5, 0.03):
+        apex = -(gap - 0.01) * u
+        verts = [apex, apex - 30.0 * u + 0.4 * w, apex - 30.0 * u - 0.4 * w]
+        for k in range(4):
+            c = (gap + 0.002 * k) * u
+            verts += [c + 0.05 * w, c - 0.05 * w + 0.05 * v, c - 0.05 * w - 0.05 * v]
+        mesh = TriMesh(np.array(verts), np.arange(15).reshape(5, 3))
+        got = assert_distance_is_brute_force(mesh, GridDims(2, 2, 2))
+        assert got[0, 0, 0] == pytest.approx(gap - 0.01, abs=1e-12)
+
+
+def test_culled_distance_memory_follows_the_candidates():
+    # about 3k triangles in 16^3; brute force held (2048, T, 3) float64
+    # temporaries, 147 MB each at T = 3000
+    scene = random_scene(11, 15.0)
+    mc = mc_extract(sample_csg_grid(lambda p: 4.0 * scene(p / 4.0), GridDims(61, 61, 61)))
+    mesh = TriMesh(mc.vertices / 4.0, mc.tris)
+    assert 2500 < len(mesh.tris) < 3500
+    tracemalloc.start()
+    try:
+        _unsigned_distance(mesh, GridDims(16, 16, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_mesh_sdf_matches_the_analytic_sphere():

@@ -8,11 +8,11 @@ import pytest
 
 from ndcmesh.csg import random_scene
 from ndcmesh.datagen import cloud_active_cells, make_training_sample, sample_point_cloud
-from ndcmesh.errors import NonFiniteValues, TrainingDiverged
+from ndcmesh.errors import NonFiniteValues, ShapeError, TrainingDiverged
 from ndcmesh.fileio import save_weights
 from ndcmesh.grids import GridDims, GridKind, ScalarGrid
-from ndcmesh.nn import (GRID_VARIANTS, GridNetwork, PointNetwork, TrainConfig, knn_indices,
-                        sigmoid, train_network)
+from ndcmesh.nn import (GRID_VARIANTS, GridNetwork, PointNetwork, TrainConfig, cloud_neighbors,
+                        knn_indices, sigmoid, train_network)
 from ndcmesh.nn.network import band_sets, stack_rows
 from ndcmesh.rng import rng_for
 
@@ -263,3 +263,18 @@ def test_non_finite_clouds_are_rejected_before_any_work():
         net.predict(cloud, dims)
     with pytest.raises(NonFiniteValues):
         net.forward_logits(cloud, dims)
+
+
+def test_point_networks_share_a_clouds_neighborhoods():
+    dims = GridDims(9, 8, 10)
+    cloud = 0.5 + rng_for(54, "cloud").random((60, 3)) * np.array([7.0, 6.0, 8.0])
+    shared = cloud_neighbors(cloud, dims)
+    for head in ("flag", "vertex"):
+        net = random_biases(PointNetwork(head, channels=5, seed=54, resblocks=1), 54)
+        assert same_bits(net.forward_logits(shared, dims), net.forward_logits(cloud, dims))
+        a, b = net.predict(shared, dims), net.predict(cloud, dims)
+        for x, y in zip(a.axes if head == "flag" else [a.offsets],
+                        b.axes if head == "flag" else [b.offsets]):
+            assert same_bits(x, y), head
+        with pytest.raises(ShapeError):
+            net.predict(shared, GridDims(9, 8, 11))
