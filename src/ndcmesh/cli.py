@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -139,19 +140,29 @@ def _face_count(mesh) -> int:
     return len(mesh.tris) if isinstance(mesh, TriMesh) else len(mesh.quads)
 
 
-def _predict(net, grid_path: str, cloud_path: str, res: int, kind=None):
+def _cloud_neighbors_of(cloud_path: str):
+    """A function of the resolution giving the neighborhoods of the cloud
+    stored at `cloud_path`. The cloud is read, and its neighborhoods
+    found, once per resolution, so every point network shares them."""
+    return functools.cache(
+        lambda res: cloud_neighbors(fileio.read_xyz(cloud_path), GridDims(res, res, res)))
+
+
+def _predict(net, grid_path: str, neighbors, res: int, kind=None):
     """Run a loaded network on a stored grid (read as `kind`, by default
-    the network's own input kind) or, for a point network, a stored cloud."""
+    the network's own input kind) or, for a point network, on a stored
+    cloud's neighborhoods (`neighbors`, see _cloud_neighbors_of)."""
     if net.variant == "pc_encoder":
-        return net.predict(fileio.read_xyz(cloud_path), GridDims(res, res, res))
+        return net.predict(neighbors(res), GridDims(res, res, res))
     if kind is None:
         kind = GridKind.OCC if net.input_kind == "occ" else GridKind.SDF
     return net.predict(fileio.read_grid(grid_path, kind))
 
 
 def _resolve_field(explicit, data: str, sdir: str, head: str, gt_name: str,
-                   cls, what: str):
-    """Load a prediction field: explicit file > trained weights > GT file."""
+                   cls, what: str, neighbors):
+    """Load a prediction field: explicit file > trained weights > GT file.
+    `neighbors` gives the sample cloud's neighborhoods (_cloud_neighbors_of)."""
     if explicit:
         return _read_grid(explicit, cls, what)
     manifest = _load_manifest(data)
@@ -160,7 +171,7 @@ def _resolve_field(explicit, data: str, sdir: str, head: str, gt_name: str,
         if os.path.exists(wpath):
             kind = GridKind.UDF if manifest.get("kind") == "udf" else None
             return _predict(fileio.load_weights(wpath), os.path.join(sdir, "input.ndcg"),
-                            os.path.join(sdir, "cloud.xyz"), int(manifest["res"]), kind)
+                            neighbors, int(manifest["res"]), kind)
     gt_path = os.path.join(sdir, gt_name)
     if os.path.exists(gt_path):
         return _read_grid(gt_path, cls, what)
@@ -250,7 +261,7 @@ def cmd_infer(args) -> None:
         raise UsageError("pass --grid FILE or --cloud FILE")
     suffix = {"sign": "_signs.ndcg", "vertex": "_vertices.ndcg",
               "flag": "_flags.ndcg"}
-    neighbors = None  # the cloud is read, and its neighborhoods found, once
+    neighbors = _cloud_neighbors_of(args.cloud)
     for wpath in args.weights:
         net = fileio.load_weights(wpath)
         if net.variant == "pc_encoder":
@@ -258,14 +269,9 @@ def cmd_infer(args) -> None:
                 raise UsageError(f"{wpath} is a point-cloud network; pass --cloud")
             if args.res is None:
                 raise UsageError("--res is required with --cloud")
-            if neighbors is None:
-                neighbors = cloud_neighbors(fileio.read_xyz(args.cloud),
-                                            GridDims(args.res, args.res, args.res))
-            pred = net.predict(neighbors, neighbors.dims)
         elif not args.grid:
             raise UsageError(f"{wpath} is a grid network; pass --grid")
-        else:
-            pred = _predict(net, args.grid, args.cloud, args.res, KIND_NAMES.get(args.grid_kind))
+        pred = _predict(net, args.grid, neighbors, args.res, KIND_NAMES.get(args.grid_kind))
         out = args.out_prefix + suffix[net.head]
         fileio.write_grid(out, pred)
         print(f"{net.variant}/{net.head} -> {out}")
@@ -274,6 +280,8 @@ def cmd_infer(args) -> None:
 def cmd_mesh(args) -> None:
     sdir = _sample_dir(args.data, args.sample)
     out = args.out or os.path.join(args.data, f"mesh_{args.mode}.obj")
+    # a point network's input: read, and its neighborhoods found, once
+    neighbors = _cloud_neighbors_of(os.path.join(sdir, "cloud.xyz"))
 
     if args.mode in ("dc", "dc-est", "mc"):
         if args.close_holes:
@@ -296,17 +304,17 @@ def cmd_mesh(args) -> None:
         if args.close_holes:
             print("note: --close-holes only applies to undc", file=sys.stderr)
         signs = _resolve_field(args.signs, args.data, sdir, "sign",
-                               "gt_signs.ndcg", SignGrid, "a sign grid")
+                               "gt_signs.ndcg", SignGrid, "a sign grid", neighbors)
         offsets = _resolve_field(args.offsets, args.data, sdir, "vertex",
                                  "gt_vertices.ndcg", VertexOffsetGrid,
-                                 "vertex offsets")
+                                 "vertex offsets", neighbors)
         mesh = ndc_extract(signs, offsets)
     else:  # undc
         flags = _resolve_field(args.flags, args.data, sdir, "flag",
-                               "gt_flags.ndcg", EdgeField, "edge flags")
+                               "gt_flags.ndcg", EdgeField, "edge flags", neighbors)
         offsets = _resolve_field(args.offsets, args.data, sdir, "vertex",
                                  "gt_vertices.ndcg", VertexOffsetGrid,
-                                 "vertex offsets")
+                                 "vertex offsets", neighbors)
         if args.close_holes:
             flags = close_holes(flags)
         mesh = undc_extract(flags, offsets)

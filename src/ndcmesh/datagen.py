@@ -60,21 +60,39 @@ class TrainingSample:
     masks: MaskGrids
 
 
-def lattice_points(dims: GridDims) -> np.ndarray:
-    """All vertex coordinates, shape (m, n, k, 3)."""
-    axes = [np.arange(s, dtype=np.float64) for s in dims.vertex_shape]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+# lattice points per CSG evaluation: the temporaries of a field then take
+# a few megabytes whatever the grid size (1.8 MB beside the 2.2 MB grid
+# at 64^3, against about 33 MB for the whole lattice at once), and small
+# slabs also evaluate faster
+SLAB_POINTS = 1 << 14
+
+
+def _sample_lattice(shape: CsgShape, shape3, offset: float = 0.0) -> np.ndarray:
+    """A CSG field at the points (i, j, k) + offset of a lattice shaped
+    shape3, evaluated slab by slab along the first axis, each slab
+    holding at most SLAB_POINTS points (or one plane).
+
+    The slabs keep every line along the last axis whole, so matrix
+    products over the points (a rotated Box) take the same shapes, and
+    give the same bits, as one evaluation of the whole lattice; slabs
+    along the last axis change some values in the last bit."""
+    m, n, k = shape3
+    out = np.empty((m, n, k))
+    step = max(1, SLAB_POINTS // (n * k))
+    y, z = (np.arange(s, dtype=np.float64) + offset for s in (n, k))
+    for lo in range(0, m, step):
+        x = np.arange(lo, min(lo + step, m), dtype=np.float64) + offset
+        out[lo:lo + len(x)] = shape(np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1))
+    return out
 
 
 def sample_csg_grid(shape: CsgShape, dims: GridDims, kind: GridKind = GridKind.SDF) -> ScalarGrid:
     """Sample a CSG field at the lattice (SDF/UDF) or cell centers (OCC)."""
     if kind == GridKind.OCC:
-        cells = lattice_points(GridDims(dims.m - 1, dims.n - 1, dims.k - 1)) + 0.5
-        occ = (shape(cells) < 0).astype(np.float64)
         out = np.zeros(dims.vertex_shape)
-        out[:-1, :-1, :-1] = occ
+        out[:-1, :-1, :-1] = _sample_lattice(shape, dims.cell_shape, 0.5) < 0
         return ScalarGrid(dims, kind, out)
-    vals = shape(lattice_points(dims))
+    vals = _sample_lattice(shape, dims.vertex_shape)
     if kind == GridKind.UDF:
         vals = np.abs(vals)
     return ScalarGrid(dims, kind, vals)
@@ -85,7 +103,7 @@ def sample_csg_grid(shape: CsgShape, dims: GridDims, kind: GridKind = GridKind.S
 
 
 def _csg_edge_data(shape: CsgShape, dims: GridDims, iters: int = 30):
-    vals = shape(lattice_points(dims))
+    vals = _sample_lattice(shape, dims.vertex_shape)
     flags = EdgeField.full(dims, False, bool)
     tvals = EdgeField.full(dims, np.nan, np.float64)
     normals = EdgeField.full(dims, np.nan, np.float64, trailing=(3,))
@@ -297,9 +315,14 @@ def mesh_to_sdf_grid(mesh: TriMesh, dims: GridDims, kind: GridKind = GridKind.SD
     return ScalarGrid(dims, GridKind.SDF, np.where(inside, -dist, dist))
 
 
-def occupancy_from_mesh(mesh: TriMesh, dims: GridDims) -> ScalarGrid:
-    """Cell-center-inside occupancy, stored min-corner anchored."""
-    if not edge_topology_stats(mesh).closed:
+def occupancy_from_mesh(mesh: TriMesh, dims: GridDims, closed: bool | None = None) -> ScalarGrid:
+    """Cell-center-inside occupancy, stored min-corner anchored.
+
+    The mesh must be watertight: `closed` is checked here unless a caller
+    that has checked the mesh passes the result."""
+    if closed is None:
+        closed = edge_topology_stats(mesh).closed
+    if not closed:
         raise OpenMeshError("occupancy needs a watertight mesh")
     cdims = GridDims(dims.m - 1, dims.n - 1, dims.k - 1)
     # parity at cell centers: reuse the vertex machinery on a shifted mesh
@@ -721,7 +744,7 @@ def make_training_sample(
         if wants_cloud:
             grid = None
         elif kind == GridKind.OCC:
-            grid = occupancy_from_mesh(source, dims)
+            grid = occupancy_from_mesh(source, dims, closed)
         else:
             grid = mesh_to_sdf_grid(source, dims, kind, inside if closed else None)
     else:

@@ -1,9 +1,11 @@
 """Neural network layers with explicit forward and backward passes.
 
-Everything is plain numpy. Convolutions act on (C, D, H, W) tensors,
-linear layers on (..., features) arrays. Each layer caches what its
-backward pass needs, so forward must be called before backward and a
-layer instance processes one input at a time. Parameter gradients
+Everything is plain numpy. Convolutions act on (C, D, H, W) tensors, or
+on (C, N) rows of a voxel set; linear layers act on (..., features)
+arrays. Each layer caches what its backward pass needs, so forward must
+be called before backward and a layer instance processes one input at a
+time. A convolution trains on voxel sets only: forward_rows caches for
+backward_rows, and the dense forward caches nothing. Parameter gradients
 accumulate into Param.grad until zero_grad(), which lets a shared
 module sum contributions from several forward passes.
 
@@ -51,7 +53,15 @@ class Layer:
 
     A layer with weights lists the Conv3d and Linear layers it owns in
     param_layers(); params() and zero_grad() follow from that list.
+    Every layer answers forward and backward; a pass a layer does not
+    have (Conv3d has no dense backward) raises NotImplementedError.
     """
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError(f"{type(self).__name__} has no forward pass")
+
+    def backward(self, gy: np.ndarray) -> np.ndarray:
+        raise NotImplementedError(f"{type(self).__name__} has no backward pass")
 
     def param_layers(self) -> list:
         return []
@@ -64,12 +74,12 @@ class Layer:
             p.grad[...] = 0.0
 
 
-def _channel_mix(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _channel_mix(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """w @ x for (out, in) weights and (in, N) columns, as products of
     one shape (see MIX_BLOCK), the last block of columns zero-padded.
-    Returns the blocks of the result, shaped (blocks, out, MIX_BLOCK)."""
+    Writes the blocks of the result to y, shaped (blocks, out, MIX_BLOCK),
+    and returns it."""
     n = x.shape[1]
-    y = np.empty((-(-n // MIX_BLOCK), len(w), MIX_BLOCK), dtype=np.result_type(w, x))
     for b, lo in enumerate(range(0, n, MIX_BLOCK)):
         block = x[:, lo:lo + MIX_BLOCK]
         if block.shape[1] < MIX_BLOCK:
@@ -83,17 +93,19 @@ class Conv3d(Layer):
     """3D cross-correlation with kernel size 1 or 3, stride 1.
 
     The input is zero-padded by kernel // 2 voxels so the spatial shape
-    is preserved, and every pass is one loop over the kernel^3 windows
-    of the padded input: the output sums each window's channel mix, the
-    weight gradient correlates the output gradient with each window, and
-    the input gradient scatters each window's share back. Kernel size 1
-    is the unpadded case with a single window, the input itself, so it
-    is neither copied nor padded. Weights are stored as
-    (out, in, kz, ky, kx).
+    is preserved. forward is one loop over the kernel^3 windows of the
+    padded input, summing each window's channel mix; kernel size 1 is
+    the unpadded case with a single window, the input itself, so it is
+    neither copied nor padded. Weights are stored as (out, in, kz, ky, kx).
 
     forward_rows computes the same outputs at a set of voxels only, from
     the inputs as (in, N) rows; it sums the same products in the same
-    order, so its rows equal forward's voxels bit for bit.
+    order, so its rows equal forward's voxels bit for bit. backward_rows
+    is its backward pass, one loop over the taps: the weight gradient
+    correlates the output gradient with each tap's input rows, and the
+    input gradient scatters each tap's share back to those rows. The
+    dense forward is the reference the row passes are tested against;
+    there is no dense backward.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
@@ -107,7 +119,7 @@ class Conv3d(Layer):
         w = rng.normal(0.0, std, size=(out_channels, in_channels, kernel, kernel, kernel))
         self.weight = Param(w.astype(dtype))
         self.bias = Param(np.zeros(out_channels, dtype=dtype))
-        self._xp = None
+        self._rows = None
 
     def param_layers(self):
         return [self]
@@ -125,12 +137,16 @@ class Conv3d(Layer):
 
     def _mix(self, cols, n: int) -> np.ndarray:
         """Sum each tap's channel mix of its (in, n) input columns, taps
-        in order, then add the bias: the one summation of both forwards."""
+        in order, then add the bias: the one summation of both forwards.
+        Every tap after the first is mixed into one reused buffer."""
         wv = self.weight.value
-        terms = (_channel_mix(wv[tap], col) for tap, col in zip(self._taps(), cols))
-        y = next(terms)
-        for term in terms:
-            y += term
+        shape = (-(-n // MIX_BLOCK), self.out_channels, MIX_BLOCK)
+        taps = zip(self._taps(), cols)
+        tap, col = next(taps)
+        y = _channel_mix(wv[tap], col, np.empty(shape, dtype=np.result_type(wv, col)))
+        term = np.empty_like(y)
+        for tap, col in taps:
+            y += _channel_mix(wv[tap], col, term)
         y = y.transpose(1, 0, 2).reshape(self.out_channels, -1)[:, :n]
         return y + self.bias.value[:, None]
 
@@ -139,15 +155,16 @@ class Conv3d(Layer):
             raise ShapeError(f"conv input must be ({self.in_channels}, {shape}), got {x.shape}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """The output at every voxel (nothing is cached)."""
         self._check_channels(x, 4, "D, H, W")
         p = self.kernel // 2
-        self._xp = xp = np.pad(x, [(0, 0)] + [(p, p)] * 3) if p else x
+        xp = np.pad(x, [(0, 0)] + [(p, p)] * 3) if p else x
         cols = (xp[win].reshape(self.in_channels, -1) for _, win in self._windows(*x.shape[1:]))
         y = self._mix(cols, math.prod(x.shape[1:]))
         return y.reshape((self.out_channels,) + x.shape[1:])
 
     def forward_rows(self, x: np.ndarray, nb: np.ndarray | None = None) -> np.ndarray:
-        """forward at a set of voxels, for inference (nothing is cached).
+        """forward at a set of voxels; caches its input for backward_rows.
 
         x holds the input at N voxels as (in, N) rows. For kernel 3, row
         r of the (M, 27) table nb lists the input row under each tap of
@@ -159,21 +176,31 @@ class Conv3d(Layer):
         if (nb is None) != (self.kernel == 1):
             raise ValueError("a neighbor table is needed for, and only for, kernel 3")
         if nb is None:
+            self._rows = x, None
             return self._mix([x], x.shape[1])
         padded = np.concatenate([x, np.zeros_like(x[:, :1])], axis=1)
+        self._rows = padded, nb
         return self._mix((padded.take(rows, axis=1) for rows in nb.T), len(nb))
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
-        self.bias.grad += gy.sum(axis=(1, 2, 3))
+    def backward_rows(self, gy: np.ndarray) -> np.ndarray:
+        """The (in, N) input gradient of the last forward_rows from its
+        (out, M) output gradient; accumulates the parameter gradients."""
+        xp, nb = self._rows
         wv = self.weight.value
-        xp = self._xp
-        _, d, h, w = gy.shape
-        gxp = np.zeros_like(xp)
-        for tap, win in self._windows(d, h, w):
-            self.weight.grad[tap] += np.tensordot(gy, xp[win], axes=([1, 2, 3], [1, 2, 3]))
-            gxp[win] += np.tensordot(wv[tap].T, gy, axes=1)
-        p = self.kernel // 2
-        return gxp[:, p:p + d, p:p + h, p:p + w]
+        self.bias.grad += gy.sum(axis=1)
+        if nb is None:
+            self.weight.grad[:, :, 0, 0, 0] += gy @ xp.T
+            return wv[:, :, 0, 0, 0].T @ gy
+        # voxel-major rows: each tap's rows are contiguous to gather and
+        # to scatter to
+        xt = np.ascontiguousarray(xp.T)
+        gxt = np.zeros_like(xt)
+        for tap, rows in zip(self._taps(), nb.T):
+            self.weight.grad[tap] += gy @ xt.take(rows, axis=0)
+            # one tap reads each row once, except the zero padding row,
+            # whose gradient is dropped
+            gxt[rows] += (wv[tap].T @ gy).T
+        return gxt[:-1].T
 
 
 class Linear(Layer):

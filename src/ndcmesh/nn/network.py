@@ -15,17 +15,20 @@ Head conventions on a (m, n, k) vertex lattice:
           the cell's edge along axis a from its min corner. Border
           edges not owned by any cell are never predicted (left false).
 
-Training runs the stack densely (forward_logits, backward). predict
-runs it only on the outputs a mesh can read, which the supervision band
-S of the input (datagen.vertex_band: |v| < BAND_WIDTH for SDF/UDF, the
+A network runs its stack only on the outputs that are used, through
+band_sets and stack_rows: 3^3 layer i of n runs on those outputs dilated
+by n-1-i voxels and the 1^3 layers on the outputs alone, and the rows
+equal the dense pass's voxels bit for bit. Training uses the head's
+supervision mask (nn.train), outside which the loss, and so every
+gradient, is zero; backward_rows (stack_rows_backward) is exact there.
+predict uses the outputs a mesh can read, which the supervision band S
+of the input (datagen.vertex_band: |v| < BAND_WIDTH for SDF/UDF, the
 corners of surface cells for OCC) decides:
   sign    predicted on S; elsewhere the input's own sign (v < 0, or
           for OCC the occupancy of the vertex's own cell).
   vertex  predicted at cells with a corner in S; elsewhere 0.5.
   flag    predicted on edges with both ends in S; elsewhere false.
-3^3 layer i of n then runs on the predicted outputs dilated by n-1-i
-voxels and the 1^3 layers on the outputs alone (band_sets, stack_rows);
-the predicted outputs equal the dense pass's bit for bit.
+The dense forward_logits is the reference both are tested against.
 """
 
 import numpy as np
@@ -107,6 +110,19 @@ def stack_rows(stack: Sequential, x: np.ndarray, sets: list[np.ndarray]) -> np.n
     return x
 
 
+def stack_rows_backward(stack: Sequential, g: np.ndarray) -> np.ndarray:
+    """The backward pass of the last stack_rows: the gradient at the
+    input rows (sets[0]) from the gradient at the logit rows (sets[-1]).
+
+    It is the dense backward pass restricted to the sets, exact whenever
+    the logit gradient is zero outside sets[-1]: no voxel outside the
+    sets then reaches a gradient.
+    """
+    for layer in reversed(stack.layers):
+        g = layer.backward_rows(g) if isinstance(layer, Conv3d) else layer.backward(g)
+    return g
+
+
 def crop_cells(arr: np.ndarray, cell_shape) -> np.ndarray:
     """The (C, *cell_shape) corner of a (C, *vertex_shape) array."""
     return arr[:, : cell_shape[0], : cell_shape[1], : cell_shape[2]]
@@ -145,10 +161,19 @@ class GridNetwork(Layer):
                 f"{self.variant} expects {self.input_kind} input, got {grid.kind.name}")
 
     def forward_logits(self, x: np.ndarray) -> np.ndarray:
+        """Logits at every voxel (the dense reference; nothing is cached)."""
         return self.trunk.forward(x)
 
-    def backward(self, glogits: np.ndarray) -> np.ndarray:
-        return self.trunk.backward(glogits)
+    def forward_rows(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Logits at the voxels of mask `out`, as (channels, N) rows in C
+        order, from the (1, *shape) input tensor x."""
+        sets = band_sets(self.trunk, out)
+        return stack_rows(self.trunk, x[:, sets[0]], sets)
+
+    def backward_rows(self, grows: np.ndarray) -> None:
+        """Accumulate the parameter gradients of the last forward_rows
+        from the gradient at its rows."""
+        stack_rows_backward(self.trunk, grows)
 
     def input_tensor(self, grid: ScalarGrid) -> np.ndarray:
         self._check_grid(grid)
@@ -166,9 +191,8 @@ class GridNetwork(Layer):
         x = self.input_tensor(grid)
         used, fill = self._used_outputs(grid)
         out = used.any(axis=0)
-        sets = band_sets(self.trunk, out)
         probs = np.zeros(used.shape, dtype=self.dtype)
-        probs[:, out] = sigmoid(stack_rows(self.trunk, x[:, sets[0]], sets))
+        probs[:, out] = sigmoid(self.forward_rows(x, out))
         probs = np.where(used, probs, fill)
         if self.head == "sign":
             return SignGrid(grid.dims, probs[0] > 0.5)

@@ -10,14 +10,16 @@ contains a point (datagen.cloud_active_cells); all other cells carry
 zero features. Stage three runs three 3^3 and three 1^3 convolutions
 over the cell grid to produce head logits.
 
-Stage three runs over the whole grid, in training and in predict
-alike; predict keeps its output at the active cells only, and every
-other cell gets no crossing on the flag head and the cell center (0.5)
-on the vertex head. Unlike GridNetwork.predict (network.stack_rows),
-the grid stage is not run band-sparse: the active set follows how far
-the points spread (2,300 to 9,400 cells for 2,048-point clouds of
-random 48^3 scenes), and a sparse pass's cost with it, while the dense
-pass costs the same for every cloud.
+Training runs stage three band-sparse, like GridNetwork (network.
+stack_rows): on band_sets of the head's supervision mask, from an input
+that is non-zero only at active cells, and its input gradient is read
+only there. predict runs stage three over the whole grid and keeps its
+output at the active cells only; every other cell gets no crossing on
+the flag head and the cell center (0.5) on the vertex head. Unlike
+GridNetwork.predict, predict's grid stage is not run band-sparse: the
+active set follows how far the points spread (2,300 to 9,400 cells for
+2,048-point clouds of random 48^3 scenes), and a sparse pass's cost
+with it, while the dense pass costs the same for every cloud.
 
 Both neighborhoods hold K_NEIGHBORS points, and the active reach is
 datagen.ACTIVE_MANHATTAN, the one the supervision masks use; neither is
@@ -43,7 +45,8 @@ from ..grids import GridDims
 from ..rng import rng_for
 from .layers import (Layer, LeakyReLU, Linear, MaxPoolAxis, ResBlockFC,
                      Sequential, sigmoid)
-from .network import HEAD_CHANNELS, cell_head_output, conv_stack
+from .network import (HEAD_CHANNELS, band_sets, cell_head_output, conv_stack, stack_rows,
+                      stack_rows_backward)
 
 K_NEIGHBORS = 8
 
@@ -185,26 +188,46 @@ class PointNetwork(Layer):
         cat = np.concatenate([rel2, feats[nb.cells]], axis=-1)
         return self.cell_pool.forward(self.cell_enc.forward(cat))
 
-    def _logits(self, cloud, dims: GridDims):
-        """(the cloud's neighborhoods, logits over the whole cell grid)."""
+    def _neighbors(self, cloud, dims: GridDims) -> CloudNeighbors:
         nb = cloud if isinstance(cloud, CloudNeighbors) else cloud_neighbors(cloud, dims)
         if nb.dims != dims:
             raise ShapeError(f"cloud neighborhoods are for {nb.dims}, not {dims}")
+        return nb
+
+    def _logits(self, cloud, dims: GridDims):
+        """(the cloud's neighborhoods, logits over the whole cell grid)."""
+        nb = self._neighbors(cloud, dims)
         vol = np.zeros((self.channels,) + dims.cell_shape, dtype=self.dtype)
         vol[:, nb.active] = self._cell_features(nb).T
         return nb, self.grid.forward(vol)
 
     def forward_logits(self, cloud, dims: GridDims) -> np.ndarray:
-        """Logits over the whole cell grid; `cloud` is an (N, 3) array or
-        its CloudNeighbors."""
-        self._cache, logits = self._logits(cloud, dims)
-        return logits
+        """Logits over the whole cell grid (the dense reference); `cloud`
+        is an (N, 3) array or its CloudNeighbors."""
+        return self._logits(cloud, dims)[1]
 
-    def backward(self, glogits: np.ndarray) -> None:
-        nb = self._cache
-        gvol = self.grid.backward(glogits)
-        gcat = self.cell_enc.backward(self.cell_pool.backward(gvol[:, nb.active].T))
-        gfeats = np.zeros((len(nb.cloud), self.channels), dtype=glogits.dtype)
+    def forward_rows(self, cloud, dims: GridDims, out: np.ndarray) -> np.ndarray:
+        """Logits at the cells of mask `out`, as (channels, N) rows in C
+        order; caches what backward_rows needs."""
+        nb = self._neighbors(cloud, dims)
+        sets = band_sets(self.grid, out)
+        # the active cells among the input rows, and the input rows among
+        # the active cells: the same cells, both in C order
+        at_rows, at_active = nb.active[sets[0]], sets[0][nb.active]
+        x = np.zeros((self.channels, len(at_rows)), dtype=self.dtype)
+        x[:, at_rows] = self._cell_features(nb)[at_active].T
+        self._cache = nb, at_rows, at_active
+        return stack_rows(self.grid, x, sets)
+
+    def backward_rows(self, grows: np.ndarray) -> None:
+        """Accumulate the parameter gradients of the last forward_rows
+        from the gradient at its rows."""
+        nb, at_rows, at_active = self._cache
+        gx = stack_rows_backward(self.grid, grows)
+        gcells = np.zeros((len(at_active), self.channels), dtype=grows.dtype)
+        gcells[at_active] = gx[:, at_rows].T
+        gcat = self.cell_enc.backward(self.cell_pool.backward(gcells))
+        gfeats = np.zeros((len(nb.cloud), self.channels), dtype=grows.dtype)
         np.add.at(gfeats, nb.cells, gcat[..., 3:])
         gfeats = self.res.backward(gfeats)
         self.point_enc.backward(self.point_pool.backward(gfeats))

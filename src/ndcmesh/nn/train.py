@@ -1,7 +1,10 @@
 """Training loop: one network head, batch size 1, Adam.
 
 Each head trains on its own loss against the sample's ground truth,
-restricted to that head's supervision mask. The learning rate halves
+restricted to that head's supervision mask. The loss, and with it every
+gradient, is zero outside that mask, so each step runs the network
+band-sparse on the mask alone (forward_rows, backward_rows); its loss
+equals the dense pass's bit for bit. The learning rate halves
 every `halve_every` epochs (0 disables the schedule). With
 augmentation enabled, each sample gets one group transform per epoch,
 drawn deterministically from the seed. Sample order, augmentation and
@@ -36,35 +39,55 @@ class TrainConfig:
     stop_below: float | None = None
 
 
-def train_step(net, sample: TrainingSample, adam: Adam) -> float:
-    """One forward/backward/update on a single sample; returns the loss."""
-    dims = sample.dims
-    cells = dims.cell_shape
-    if net.variant == "pc_encoder":
-        logits = net.forward_logits(sample.cloud, dims)
-        cropped = logits
+def supervised_outputs(net, sample: TrainingSample) -> np.ndarray:
+    """The logits the loss of net's head reads, as a mask over the
+    network's output grid: m_s for signs, m_v for vertices, and the cells
+    owning an m_f edge for flags. A grid network's output covers the
+    vertex lattice, so its cell masks gain a last layer of cells."""
+    masks = sample.masks
+    if net.head == "sign":
+        return masks.m_s
+    if net.head == "vertex":
+        cells = masks.m_v
     else:
-        logits = net.forward_logits(net.input_tensor(sample.grid))
-        cropped = crop_cells(logits, cells)
+        cells = edge_field_to_cells(masks.m_f).any(axis=0)
+    return cells if net.variant == "pc_encoder" else np.pad(cells, [(0, 1)] * 3)
 
+
+def head_loss(net, sample: TrainingSample, logits: np.ndarray):
+    """(loss, gradient) of net's head at logits over its whole output grid."""
+    cropped = crop_cells(logits, sample.dims.cell_shape)
     if net.head == "sign":
         loss, g = masked_bce_loss(logits[0], sample.gt_signs.inside,
                                   sample.masks.m_s)
-        glogits = g[None]
-    elif net.head == "flag":
+        return loss, g[None]
+    if net.head == "flag":
         labels = edge_field_to_cells(sample.gt_flags)
         mask = edge_field_to_cells(sample.masks.m_f)
         loss, g = masked_bce_loss(cropped, labels, mask)
-        glogits = _embed(g, logits)
-    else:
-        act = Sigmoid()
-        pred = np.moveaxis(act.forward(cropped), 0, -1)
-        loss, gp = masked_mse_loss(pred, sample.gt_offsets.offsets,
-                                   sample.masks.m_v)
-        g = act.backward(np.moveaxis(gp, -1, 0))
-        glogits = _embed(g.astype(logits.dtype), logits)
+        return loss, _embed(g, logits)
+    act = Sigmoid()
+    pred = np.moveaxis(act.forward(cropped), 0, -1)
+    loss, gp = masked_mse_loss(pred, sample.gt_offsets.offsets, sample.masks.m_v)
+    g = act.backward(np.moveaxis(gp, -1, 0))
+    return loss, _embed(g.astype(logits.dtype), logits)
 
-    net.backward(glogits)
+
+def train_step(net, sample: TrainingSample, adam: Adam) -> float:
+    """One forward/backward/update on a single sample; returns the loss.
+
+    The network runs on the supervised outputs only; the rows are
+    scattered into zero logits, which the loss reads only there.
+    """
+    out = supervised_outputs(net, sample)
+    if net.variant == "pc_encoder":
+        rows = net.forward_rows(sample.cloud, sample.dims, out)
+    else:
+        rows = net.forward_rows(net.input_tensor(sample.grid), out)
+    logits = np.zeros((net.out_channels,) + out.shape, dtype=rows.dtype)
+    logits[:, out] = rows
+    loss, glogits = head_loss(net, sample, logits)
+    net.backward_rows(glogits[:, out])
     adam.step()
     adam.zero_grad()
     return loss

@@ -176,6 +176,19 @@ def test_train_takes_the_network_from_the_dataset_kind_alone(tmp_path, capsys):
         assert "sign" in err and "--variant" not in err, kind
 
 
+def count_calls(monkeypatch, *targets) -> dict:
+    """Count the calls of each (module, function name) in `targets`."""
+    calls = {}
+    for module, name in targets:
+        calls[name] = 0
+
+        def wrapper(*args, fn=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def test_infer_finds_a_clouds_neighborhoods_once_for_both_point_networks(tmp_path, monkeypatch):
     cloud = 1.0 + 9.0 * np.random.default_rng(7).random((300, 3))
     cloud_path = str(tmp_path / "cloud.xyz")
@@ -189,18 +202,7 @@ def test_infer_finds_a_clouds_neighborhoods_once_for_both_point_networks(tmp_pat
         fileio.save_weights(path, net)
         nets.append(fileio.load_weights(path))
         argv += ["--weights", path]
-    calls = {"knn_indices": 0, "read_xyz": 0}
-
-    def count(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    count(pointnet, "knn_indices")
-    count(fileio, "read_xyz")
+    calls = count_calls(monkeypatch, (pointnet, "knn_indices"), (fileio, "read_xyz"))
     assert cli_main(argv) == 0
     # one query for the points, one for the active cell centers
     assert calls == {"knn_indices": 2, "read_xyz": 1}
@@ -210,3 +212,16 @@ def test_infer_finds_a_clouds_neighborhoods_once_for_both_point_networks(tmp_pat
         fileio.write_grid(alone, net.predict(cloud, GridDims(12, 12, 12)))
         with open(alone, "rb") as a, open(str(tmp_path / ("pred" + suffix)), "rb") as b:
             assert a.read() == b.read(), suffix
+
+
+def test_mesh_finds_a_clouds_neighborhoods_once_for_both_point_networks(tmp_path, monkeypatch):
+    data = str(tmp_path / "points")
+    assert cli_main(["gen", "--out", data, "--kind", "points", "--res", "12",
+                     "--cloud-size", "256"]) == 0
+    for stem, head in (("pc_f", "flag"), ("pc_v", "vertex")):
+        net = make_network("pc_encoder", channels=6, seed=9, head=head)
+        fileio.save_weights(os.path.join(data, stem + ".ndcw"), net)
+    calls = count_calls(monkeypatch, (pointnet, "knn_indices"), (fileio, "read_xyz"))
+    assert cli_main(["mesh", "--data", data, "--mode", "undc"]) == 0
+    # one query for the points, one for the active cell centers
+    assert calls == {"knn_indices": 2, "read_xyz": 1}

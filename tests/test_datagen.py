@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ndcmesh.datagen as datagen
 from ndcmesh.csg import Box, Sphere, random_scene
 from ndcmesh.datagen import (BAND_WIDTH, PAIR_CHUNK, SIDE_TOL, _triangle_columns,
                              _unsigned_distance, augment_sample, build_masks,
@@ -656,6 +657,55 @@ def test_watertight_sample_flags_equal_sign_xor():
         assert edge_equal(sample.gt_flags, xor_flags(sample.gt_signs))
         assert sample.gt_offsets.offsets.min() >= 0.0
         assert sample.gt_offsets.offsets.max() <= 1.0
+
+
+def one_shot_field(shape, shape3, offset=0.0):
+    """A CSG field evaluated on the whole lattice at once."""
+    axes = [np.arange(n, dtype=np.float64) + offset for n in shape3]
+    return shape(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+
+
+def test_csg_grids_sampled_in_slabs_equal_the_one_shot_field(monkeypatch):
+    # rotated boxes multiply points by a matrix; the slabs keep every
+    # lattice line along the last two axes whole, so its products match
+    for points in (200, 60, datagen.SLAB_POINTS):
+        monkeypatch.setattr(datagen, "SLAB_POINTS", points)
+        for seed, dims in ((1, GridDims(16, 8, 22)), (2, GridDims(8, 4, 6)),
+                           (3, GridDims(33, 34, 35)), (4, GridDims(2, 30, 3))):
+            scene = random_scene(seed, float(min(dims.vertex_shape) + 4))
+            sdf = one_shot_field(scene, dims.vertex_shape)
+            for kind, want in ((GridKind.SDF, sdf), (GridKind.UDF, np.abs(sdf))):
+                got = sample_csg_grid(scene, dims, kind).values
+                assert got.dtype == want.dtype and np.array_equal(got, want), (points, seed)
+            occ = sample_csg_grid(scene, dims, GridKind.OCC).values
+            want = one_shot_field(scene, dims.cell_shape, 0.5) < 0
+            assert np.array_equal(occ[:-1, :-1, :-1], want) and occ.sum() == want.sum()
+
+
+def test_csg_grid_memory_is_bounded_by_the_slabs():
+    # a 64^3 grid is 2.2 MB; the whole lattice at once peaked at 34-36 MB
+    dims = GridDims(64, 64, 64)
+    for kind in (GridKind.SDF, GridKind.OCC):
+        tracemalloc.start()
+        try:
+            sample_csg_grid(random_scene(1, 63.0), dims, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, (kind, peak)
+
+
+def test_a_voxel_sample_checks_its_mesh_once(monkeypatch):
+    calls = []
+    stats = datagen.edge_topology_stats
+    monkeypatch.setattr(datagen, "edge_topology_stats", lambda mesh: calls.append(1) or stats(mesh))
+    mesh = cube_mesh((4.13, 3.91, 4.07), 1.6)
+    sample = make_training_sample(mesh, GridDims(9, 9, 9), GridKind.OCC)
+    assert len(calls) == 1 and sample.grid.values.any()
+    sheet = plane_sheet_mesh(GridDims(9, 9, 9), axis=2, coord=4.3)
+    with pytest.raises(OpenMeshError):
+        make_training_sample(sheet, GridDims(9, 9, 9), GridKind.OCC)
+    assert len(calls) == 2
 
 
 def test_sample_kinds_carry_the_right_inputs():

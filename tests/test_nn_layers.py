@@ -1,5 +1,7 @@
 """Layer forward passes against loop oracles, backward passes against
-finite differences, loss values and gradients, and the optimizer."""
+finite differences, loss values and gradients, and the optimizer.
+Convolutions train on voxel sets (forward_rows, backward_rows); their
+gradients are checked on a band set and on the full set."""
 
 import math
 
@@ -10,6 +12,7 @@ from ndcmesh.errors import ShapeError
 from ndcmesh.nn import (Adam, Conv3d, LeakyReLU, Linear, MaxPoolAxis, Param,
                         ResBlockFC, Sequential, Sigmoid, masked_bce_loss,
                         masked_mse_loss, sigmoid)
+from ndcmesh.nn.network import band_sets, stack_rows
 from ndcmesh.rng import rng_for
 
 FD_H = 1e-3
@@ -94,6 +97,15 @@ class reference_conv3d:
         return gxp[:, 1:-1, 1:-1, 1:-1]
 
 
+def conv_rows(conv, x, out):
+    """forward_rows of one convolution at the voxels of mask `out`, from
+    the dense input x: (the output rows, the mask of the input rows). The
+    input rows are C-contiguous, like every hidden layer's."""
+    stack = Sequential([conv])
+    sets = band_sets(stack, out)
+    return stack_rows(stack, np.ascontiguousarray(x[:, sets[0]]), sets), sets[0]
+
+
 def fd_grad(loss_fn, arr, h=FD_H):
     """Central-difference gradient of a scalar function in every entry."""
     g = np.zeros(arr.shape, dtype=np.float64)
@@ -173,6 +185,7 @@ def same_bits(a, b):
 
 
 def test_conv3d_is_bit_identical_to_the_two_branch_reference():
+    # on the full voxel set, the row passes are the dense passes
     for kernel in (1, 3):
         for cin in (1, 16):
             conv = Conv3d(cin, 8, kernel, rng_for(12, "w", kernel, cin))
@@ -180,8 +193,12 @@ def test_conv3d_is_bit_identical_to_the_two_branch_reference():
             ref = reference_conv3d(conv)
             x = rng_for(12, "x", kernel, cin).standard_normal((cin, 6, 5, 7)).astype(np.float32)
             gy = rng_for(12, "gy", kernel, cin).standard_normal((8, 6, 5, 7)).astype(np.float32)
-            assert same_bits(conv.forward(x), ref.forward(x)), (kernel, cin)
-            assert same_bits(conv.backward(gy), ref.backward(gy)), (kernel, cin)
+            want = ref.forward(x)
+            assert same_bits(conv.forward(x), want), (kernel, cin)
+            rows, _ = conv_rows(conv, x, np.ones(x.shape[1:], dtype=bool))
+            assert same_bits(rows.reshape(want.shape), want), (kernel, cin)
+            gx = conv.backward_rows(gy.reshape(8, -1))
+            assert same_bits(gx.reshape(x.shape), ref.backward(gy)), (kernel, cin)
             assert same_bits(conv.weight.grad, ref.weight_grad), (kernel, cin)
             assert same_bits(conv.bias.grad, ref.bias_grad), (kernel, cin)
 
@@ -208,12 +225,32 @@ def test_linear_matches_matmul_and_rejects_bad_features():
 
 
 def test_conv3d_gradients_match_finite_differences():
+    """backward_rows against finite differences of the dense forward, read
+    at a band set and at the full set: the upstream gradient is supported
+    on the output rows, and every input outside the input rows must get
+    none."""
     rng = rng_for(20, "conv-fd")
+    shape = (4, 5, 4)
+    band = np.zeros(shape, dtype=bool)
+    band[1, 2, :] = band[3, 0, 3] = True
     for kernel in (1, 3):
         conv = Conv3d(2, 3, kernel, rng_for(20, "w", kernel), dtype=np.float64)
         conv.bias.value[:] = 0.3 * rng.standard_normal(3)
-        x = rng.standard_normal((2, 4, 4, 4))
-        check_layer_gradients(conv, x, seed=200 + kernel)
+        x = rng.standard_normal((2,) + shape)
+        for out in (band, np.ones(shape, dtype=bool)):
+            r = rng_for(200 + kernel, "projection").standard_normal((3, int(out.sum())))
+
+            def loss():
+                return float(np.sum(conv.forward(x)[:, out] * r))
+
+            conv.zero_grad()
+            _, inputs = conv_rows(conv, x, out)
+            gx = np.zeros_like(x)
+            gx[:, inputs] = conv.backward_rows(r.copy())
+            worst = max_rel_err(fd_grad(loss, x), gx)
+            for p in conv.params():
+                worst = max(worst, max_rel_err(fd_grad(loss, p.value), p.grad))
+            assert worst < FD_TOL, (kernel, out.sum(), worst)
 
 
 def test_linear_gradients_match_finite_differences():

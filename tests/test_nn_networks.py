@@ -1,7 +1,10 @@
 """Networks and training: the point network's backward pass against
 finite differences, its invariance to point order, neighbor queries
-against a brute-force order, reproducible training runs and divergence,
-and set-restricted prediction against the dense pass."""
+against a brute-force order, band-sparse training steps against a dense
+forward and backward, reproducible training runs and divergence, and
+set-restricted prediction against the dense pass."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,9 +14,10 @@ from ndcmesh.datagen import cloud_active_cells, make_training_sample, sample_poi
 from ndcmesh.errors import NonFiniteValues, ShapeError, TrainingDiverged
 from ndcmesh.fileio import save_weights
 from ndcmesh.grids import GridDims, GridKind, ScalarGrid
-from ndcmesh.nn import (GRID_VARIANTS, GridNetwork, PointNetwork, TrainConfig, cloud_neighbors,
-                        knn_indices, sigmoid, train_network)
+from ndcmesh.nn import (GRID_VARIANTS, Conv3d, GridNetwork, PointNetwork, TrainConfig,
+                        cloud_neighbors, knn_indices, sigmoid, train_network, train_step)
 from ndcmesh.nn.network import band_sets, stack_rows
+from ndcmesh.nn.train import head_loss, supervised_outputs
 from ndcmesh.rng import rng_for
 
 FD_H = 1e-6
@@ -48,35 +52,39 @@ def test_knn_breaks_ties_by_index_like_brute_force():
 
 
 def test_point_network_backward_matches_finite_differences():
+    """backward_rows against finite differences of the dense logits, read
+    at a band set and at the full cell set."""
     dims = GridDims(4, 4, 4)
     cloud = 0.5 + 2.0 * rng_for(41, "cloud").random((24, 3))
     net = PointNetwork("vertex", channels=3, seed=41, dtype=np.float64, resblocks=1)
     # zero biases would put the self-neighbor (relative position 0) on a relu kink
     for i, layer in enumerate(net.param_layers()):
         layer.bias.value[:] = 0.3 * rng_for(41, "bias", i).standard_normal(layer.bias.value.shape)
-    logits = net.forward_logits(cloud, dims)
-    r = rng_for(41, "projection").standard_normal(logits.shape)
+    band = np.zeros(dims.cell_shape, dtype=bool)
+    band[0, 1, :] = band[2, 2, 1] = True
+    for out in (band, np.ones(dims.cell_shape, dtype=bool)):
+        r = rng_for(41, "projection").standard_normal((3, int(out.sum())))
 
-    def loss():
-        return float(np.sum(net.forward_logits(cloud, dims) * r))
+        def loss():
+            return float(np.sum(net.forward_logits(cloud, dims)[:, out] * r))
 
-    net.zero_grad()
-    net.forward_logits(cloud, dims)
-    net.backward(r.copy())
-    pick = rng_for(41, "entries")
-    worst = 0.0
-    for p in net.params():
-        flat, gflat = p.value.reshape(-1), p.grad.reshape(-1)
-        for i in pick.choice(flat.size, size=min(flat.size, 6), replace=False):
-            keep = flat[i]
-            flat[i] = keep + FD_H
-            up = loss()
-            flat[i] = keep - FD_H
-            down = loss()
-            flat[i] = keep
-            fd = (up - down) / (2.0 * FD_H)
-            worst = max(worst, abs(fd - gflat[i]) / max(abs(fd) + abs(gflat[i]), 1e-8))
-    assert worst < FD_TOL, f"max relative error {worst}"
+        net.zero_grad()
+        net.forward_rows(cloud, dims, out)
+        net.backward_rows(r.copy())
+        pick = rng_for(41, "entries")
+        worst = 0.0
+        for p in net.params():
+            flat, gflat = p.value.reshape(-1), p.grad.reshape(-1)
+            for i in pick.choice(flat.size, size=min(flat.size, 6), replace=False):
+                keep = flat[i]
+                flat[i] = keep + FD_H
+                up = loss()
+                flat[i] = keep - FD_H
+                down = loss()
+                flat[i] = keep
+                fd = (up - down) / (2.0 * FD_H)
+                worst = max(worst, abs(fd - gflat[i]) / max(abs(fd) + abs(gflat[i]), 1e-8))
+        assert worst < FD_TOL, f"{out.sum()} cells: max relative error {worst}"
 
 
 def test_point_network_predictions_ignore_point_order():
@@ -119,6 +127,101 @@ def test_a_diverging_run_raises_training_diverged():
     config = TrainConfig("sdf_v", channels=4, lr=float("inf"), epochs=3, seed=45)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
         train_network(config, samples)
+
+
+# ------------------------------------------------- band-sparse training
+
+
+def dense_conv_backward(conv, x, gy):
+    """The dense Conv3d backward pass: one loop over the 3^3 (or 1^3)
+    windows of the zero-padded input. Returns (input gradient, weight
+    gradient, bias gradient)."""
+    p = conv.kernel // 2
+    _, d, h, w = gy.shape
+    xp = np.pad(x, [(0, 0)] + [(p, p)] * 3)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(conv.weight.value)
+    for dz, dy, dx in itertools.product(range(conv.kernel), repeat=3):
+        win = (slice(None), slice(dz, dz + d), slice(dy, dy + h), slice(dx, dx + w))
+        gw[:, :, dz, dy, dx] = np.tensordot(gy, xp[win], axes=([1, 2, 3], [1, 2, 3]))
+        gxp[win] += np.tensordot(conv.weight.value[:, :, dz, dy, dx].T, gy, axes=1)
+    return gxp[:, p:p + d, p:p + h, p:p + w], gw, gy.sum(axis=(1, 2, 3))
+
+
+def dense_stack_backward(stack, x, glogits):
+    """Dense forward and backward of a conv stack: the input gradient, and
+    {conv: (weight gradient, bias gradient)}."""
+    inputs = []
+    for layer in stack.layers:
+        inputs.append(x)
+        x = layer.forward(x)
+    grads = {}
+    for layer, x in zip(reversed(stack.layers), reversed(inputs)):
+        if isinstance(layer, Conv3d):
+            glogits, *grads[layer] = dense_conv_backward(layer, x, glogits)
+        else:
+            glogits = layer.backward(glogits)
+    return glogits, grads
+
+
+def dense_training_step(net, sample):
+    """The loss and the parameter gradients of one training step run
+    densely over the whole grid, parameters in params() order."""
+    net.zero_grad()
+    if net.variant == "pc_encoder":
+        nb = cloud_neighbors(sample.cloud, sample.dims)
+        vol = np.zeros((net.channels,) + sample.dims.cell_shape, dtype=net.dtype)
+        vol[:, nb.active] = net._cell_features(nb).T
+        loss, glogits = head_loss(net, sample, net.grid.forward(vol))
+        gvol, grads = dense_stack_backward(net.grid, vol, glogits)
+        gcat = net.cell_enc.backward(net.cell_pool.backward(gvol[:, nb.active].T))
+        gfeats = np.zeros((len(nb.cloud), net.channels), dtype=net.dtype)
+        np.add.at(gfeats, nb.cells, gcat[..., 3:])
+        net.point_enc.backward(net.point_pool.backward(net.res.backward(gfeats)))
+    else:
+        x = net.input_tensor(sample.grid)
+        loss, glogits = head_loss(net, sample, net.forward_logits(x))
+        _, grads = dense_stack_backward(net.trunk, x, glogits)
+    return loss, [g for layer in net.param_layers()
+                  for g in grads.get(layer, (layer.weight.grad, layer.bias.grad))]
+
+
+class CaptureGradients:
+    """An optimizer stand-in that keeps the gradients of a step."""
+
+    def __init__(self, net):
+        self.net, self.grads = net, None
+
+    def step(self):
+        self.grads = [p.grad.copy() for p in self.net.params()]
+
+    def zero_grad(self):
+        self.net.zero_grad()
+
+
+def test_band_sparse_training_steps_equal_the_dense_pass():
+    """train_step runs each network on its head's supervision mask only;
+    its loss is the dense pass's bit for bit, and every parameter
+    gradient the dense backward pass's to float32 rounding."""
+    dims = GridDims(13, 13, 13)
+    scene = random_scene(63, 12.0)  # every mask holds 0.5% to 25% of its grid
+    samples = {kind: make_training_sample(scene, dims, kind, seed=63, cloud_size=256)
+               for kind in ("sdf", "occ", "points")}
+    nets = [GridNetwork(v, channels=6, seed=55) for v in GRID_VARIANTS]
+    nets += [PointNetwork(h, channels=6, seed=55, resblocks=1) for h in ("flag", "vertex")]
+    for net in nets:
+        random_biases(net, 55)
+        sample = samples["points" if net.variant == "pc_encoder" else net.input_kind]
+        out = supervised_outputs(net, sample)
+        assert out.any() and not out.all(), net.variant
+        capture = CaptureGradients(net)
+        loss = train_step(net, sample, capture)
+        want_loss, want_grads = dense_training_step(net, sample)
+        assert loss == want_loss, (net.variant, net.head)
+        for got, want in zip(capture.grads, want_grads, strict=True):
+            assert got.dtype == want.dtype == np.float32
+            scale = np.abs(want).max()
+            assert scale > 0 and np.abs(got - want).max() <= 1e-5 * scale, (net.variant, net.head)
 
 
 # ---------------------------------------------------------------- prediction
