@@ -142,12 +142,16 @@ def as_quad_mesh(vertices: np.ndarray, faces: list) -> QuadMesh:
     return QuadMesh(vertices, quads)
 
 
+def as_mesh(vertices: np.ndarray, faces: list):
+    """QuadMesh if every face is a quad (and there is one), else TriMesh."""
+    if faces and all(len(f) == 4 for f in faces):
+        return as_quad_mesh(vertices, faces)
+    return as_tri_mesh(vertices, faces)
+
+
 def read_obj_mesh(path):
     """TriMesh or QuadMesh depending on the face types in the file."""
-    verts, faces, _ = read_obj(path)
-    if faces and all(len(f) == 4 for f in faces):
-        return as_quad_mesh(verts, faces)
-    return as_tri_mesh(verts, faces)
+    return as_mesh(*read_obj(path)[:2])
 
 
 # ---------------------------------------------------------------- PLY
@@ -226,10 +230,7 @@ def write_mesh(path, mesh) -> None:
 
 def read_mesh(path):
     if str(path).lower().endswith(".ply"):
-        verts, faces = read_ply(path)
-        if faces and all(len(f) == 4 for f in faces):
-            return as_quad_mesh(verts, faces)
-        return as_tri_mesh(verts, faces)
+        return as_mesh(*read_ply(path))
     return read_obj_mesh(path)
 
 

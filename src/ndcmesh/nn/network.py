@@ -7,23 +7,26 @@ a 15^3 receptive field. Hidden layers default to 64 channels. The
 final convolution produces logits; sigmoids are applied only at
 prediction time so training can work in logit space.
 
-Head conventions on a (m, n, k) vertex lattice:
+Head conventions on a (m, n, k) vertex lattice, where the logits lie;
+a cell's outputs are those at its min corner:
   sign    1 channel per vertex, probability of "inside".
-  vertex  3 channels, cropped to the (m-1, n-1, k-1) cell lattice,
+  vertex  3 channels per cell of the (m-1, n-1, k-1) cell lattice,
           sigmoid output used directly as the in-cell offset.
   flag    3 channels per cell; channel a is the crossing probability of
           the cell's edge along axis a from its min corner. Border
           edges not owned by any cell are never predicted (left false).
 
-A network runs its stack only on the outputs that are used, through
-band_sets and stack_rows: 3^3 layer i of n runs on those outputs dilated
-by n-1-i voxels and the 1^3 layers on the outputs alone, and the rows
-equal the dense pass's voxels bit for bit. Training uses the head's
-supervision mask (nn.train), outside which the loss, and so every
-gradient, is zero; backward_rows (stack_rows_backward) is exact there.
-predict uses the outputs a mesh can read, which the supervision band S
-of the input (datagen.vertex_band: |v| < BAND_WIDTH for SDF/UDF, the
-corners of surface cells for OCC) decides:
+A network runs its stack only on the outputs that are used, a mask
+over the head's lattice, through band_sets and stack_rows: 3^3 layer i
+of n runs on those outputs dilated by n-1-i voxels and the 1^3 layers
+on the outputs alone, and the rows equal the dense pass's voxels bit
+for bit. Only forward_rows maps a cell mask onto the vertex lattice.
+Training uses the head's supervision mask (nn.train), outside which the
+loss, and so every gradient, is zero; backward_rows
+(stack_rows_backward) is exact there. predict uses the outputs a mesh
+can read, which the supervision band S of the input
+(datagen.vertex_band: |v| < BAND_WIDTH for SDF/UDF, the corners of
+surface cells for OCC) decides:
   sign    predicted on S; elsewhere the input's own sign (v < 0, or
           for OCC the occupancy of the vertex's own cell).
   vertex  predicted at cells with a corner in S; elsewhere 0.5.
@@ -35,7 +38,7 @@ import numpy as np
 
 from .._dual import cells_to_edge_field, edge_field_to_cells, neighbor_rows
 from ..datagen import band_edges, vertex_band
-from ..errors import InvalidKind
+from ..errors import InvalidKind, ShapeError
 from ..grids import GridKind, ScalarGrid, SignGrid, VertexOffsetGrid, edge_ends
 from ..mc_tables import CORNER_OFFSETS
 from ..rng import rng_for
@@ -123,11 +126,6 @@ def stack_rows_backward(stack: Sequential, g: np.ndarray) -> np.ndarray:
     return g
 
 
-def crop_cells(arr: np.ndarray, cell_shape) -> np.ndarray:
-    """The (C, *cell_shape) corner of a (C, *vertex_shape) array."""
-    return arr[:, : cell_shape[0], : cell_shape[1], : cell_shape[2]]
-
-
 def cell_head_output(head: str, probs: np.ndarray, dims):
     """Typed vertex or flag output from (3, *cell_shape) probabilities."""
     if head == "flag":
@@ -165,8 +163,13 @@ class GridNetwork(Layer):
         return self.trunk.forward(x)
 
     def forward_rows(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Logits at the voxels of mask `out`, as (channels, N) rows in C
-        order, from the (1, *shape) input tensor x."""
+        """Logits at the outputs of mask `out`, over the head's lattice, as
+        (channels, N) rows in C order, from the (1, *shape) input tensor x."""
+        lattice = x.shape[1:] if self.head == "sign" else tuple(s - 1 for s in x.shape[1:])
+        if out.shape != lattice:
+            raise ShapeError(f"{self.variant} outputs lie on {lattice}, not {out.shape}")
+        if self.head != "sign":
+            out = np.pad(out, [(0, 1)] * 3)
         sets = band_sets(self.trunk, out)
         return stack_rows(self.trunk, x[:, sets[0]], sets)
 
@@ -196,12 +199,11 @@ class GridNetwork(Layer):
         probs = np.where(used, probs, fill)
         if self.head == "sign":
             return SignGrid(grid.dims, probs[0] > 0.5)
-        return cell_head_output(self.head, crop_cells(probs, grid.dims.cell_shape),
-                                grid.dims)
+        return cell_head_output(self.head, probs, grid.dims)
 
     def _used_outputs(self, grid: ScalarGrid):
-        """(C, *vertex_shape) mask of the outputs predict computes, and
-        the fill of the others."""
+        """(C, *lattice) mask of the outputs predict computes, and the
+        fill of the others."""
         band = vertex_band(grid)
         if self.head == "sign":
             own = grid.values > 0.5 if grid.kind is GridKind.OCC else grid.values < 0
@@ -211,10 +213,8 @@ class GridNetwork(Layer):
             cells = np.zeros((m, n, k), dtype=bool)
             for ox, oy, oz in CORNER_OFFSETS:
                 cells |= band[ox:ox + m, oy:oy + n, oz:oz + k]
-            used, fill = np.broadcast_to(cells, (3, m, n, k)), 0.5
-        else:
-            used, fill = edge_field_to_cells(band_edges(grid.dims, band)), 0.0
-        return np.pad(used, [(0, 0)] + [(0, 1)] * 3), fill
+            return np.broadcast_to(cells, (3, m, n, k)), 0.5
+        return edge_field_to_cells(band_edges(grid.dims, band)), 0.0
 
 
 def make_network(variant: str, channels: int | None = None, seed: int = 0,

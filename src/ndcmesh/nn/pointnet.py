@@ -209,6 +209,8 @@ class PointNetwork(Layer):
     def forward_rows(self, cloud, dims: GridDims, out: np.ndarray) -> np.ndarray:
         """Logits at the cells of mask `out`, as (channels, N) rows in C
         order; caches what backward_rows needs."""
+        if out.shape != dims.cell_shape:
+            raise ShapeError(f"pc_encoder outputs lie on {dims.cell_shape}, not {out.shape}")
         nb = self._neighbors(cloud, dims)
         sets = band_sets(self.grid, out)
         # the active cells among the input rows, and the input rows among

@@ -1,10 +1,11 @@
 """Training loop: one network head, batch size 1, Adam.
 
 Each head trains on its own loss against the sample's ground truth,
-restricted to that head's supervision mask. The loss, and with it every
-gradient, is zero outside that mask, so each step runs the network
-band-sparse on the mask alone (forward_rows, backward_rows); its loss
-equals the dense pass's bit for bit. The learning rate halves
+restricted to that head's supervision mask (over vertices for signs,
+cells otherwise). The loss, and with it every gradient, is zero outside
+that mask, so each step runs the network on the mask alone
+(forward_rows, backward_rows), and the loss reads those rows and its
+targets gathered there. The learning rate halves
 every `halve_every` epochs (0 disables the schedule). With
 augmentation enabled, each sample gets one group transform per epoch,
 drawn deterministically from the seed. Sample order, augmentation and
@@ -22,8 +23,8 @@ from ..rng import rng_for
 from ..transforms import NUM_TRANSFORMS
 from .adam import Adam
 from .layers import Sigmoid
-from .losses import masked_bce_loss, masked_mse_loss
-from .network import crop_cells, make_network
+from .losses import bce_loss, mse_loss
+from .network import make_network
 
 
 @dataclass
@@ -40,65 +41,52 @@ class TrainConfig:
 
 
 def supervised_outputs(net, sample: TrainingSample) -> np.ndarray:
-    """The logits the loss of net's head reads, as a mask over the
-    network's output grid: m_s for signs, m_v for vertices, and the cells
-    owning an m_f edge for flags. A grid network's output covers the
-    vertex lattice, so its cell masks gain a last layer of cells."""
+    """The outputs the loss of net's head reads, a mask over the head's
+    lattice: m_s for signs, m_v for vertices, and the cells owning an m_f
+    edge for flags."""
     masks = sample.masks
     if net.head == "sign":
         return masks.m_s
     if net.head == "vertex":
-        cells = masks.m_v
-    else:
-        cells = edge_field_to_cells(masks.m_f).any(axis=0)
-    return cells if net.variant == "pc_encoder" else np.pad(cells, [(0, 1)] * 3)
+        return masks.m_v
+    return edge_field_to_cells(masks.m_f).any(axis=0)
 
 
-def head_loss(net, sample: TrainingSample, logits: np.ndarray):
-    """(loss, gradient) of net's head at logits over its whole output grid."""
-    cropped = crop_cells(logits, sample.dims.cell_shape)
+def head_loss(net, sample: TrainingSample, rows: np.ndarray, out: np.ndarray):
+    """(loss, gradient) of net's head at its rows, the logits at mask
+    `out` (supervised_outputs); a flag row is supervised only on the
+    channels whose edge is in m_f."""
     if net.head == "sign":
-        loss, g = masked_bce_loss(logits[0], sample.gt_signs.inside,
-                                  sample.masks.m_s)
+        loss, g = bce_loss(rows[0], sample.gt_signs.inside[out])
         return loss, g[None]
     if net.head == "flag":
-        labels = edge_field_to_cells(sample.gt_flags)
-        mask = edge_field_to_cells(sample.masks.m_f)
-        loss, g = masked_bce_loss(cropped, labels, mask)
-        return loss, _embed(g, logits)
+        mask = edge_field_to_cells(sample.masks.m_f)[:, out]
+        labels = edge_field_to_cells(sample.gt_flags)[:, out]
+        loss, g = bce_loss(rows[mask], labels[mask])
+        grad = np.zeros_like(rows)
+        grad[mask] = g
+        return loss, grad
     act = Sigmoid()
-    pred = np.moveaxis(act.forward(cropped), 0, -1)
-    loss, gp = masked_mse_loss(pred, sample.gt_offsets.offsets, sample.masks.m_v)
-    g = act.backward(np.moveaxis(gp, -1, 0))
-    return loss, _embed(g.astype(logits.dtype), logits)
+    loss, gp = mse_loss(act.forward(rows).T, sample.gt_offsets.offsets[out])
+    return loss, act.backward(gp.T).astype(rows.dtype)
 
 
 def train_step(net, sample: TrainingSample, adam: Adam) -> float:
-    """One forward/backward/update on a single sample; returns the loss.
-
-    The network runs on the supervised outputs only; the rows are
-    scattered into zero logits, which the loss reads only there.
-    """
+    """One forward/backward/update on a single sample; returns the loss."""
     out = supervised_outputs(net, sample)
     if net.variant == "pc_encoder":
         rows = net.forward_rows(sample.cloud, sample.dims, out)
     else:
         rows = net.forward_rows(net.input_tensor(sample.grid), out)
-    logits = np.zeros((net.out_channels,) + out.shape, dtype=rows.dtype)
-    logits[:, out] = rows
-    loss, glogits = head_loss(net, sample, logits)
-    net.backward_rows(glogits[:, out])
+    loss, grows = head_loss(net, sample, rows, out)
+    # the last conv sums its weight and bias gradients in an order that
+    # follows gy's layout; Fortran order, that of a gather from a logit
+    # volume (logits[:, out]), keeps the trained weights bit-identical to
+    # those of a loss computed on logit volumes
+    net.backward_rows(np.asfortranarray(grows))
     adam.step()
     adam.zero_grad()
     return loss
-
-
-def _embed(g: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    if g.shape == logits.shape:
-        return g
-    full = np.zeros_like(logits)
-    full[:, : g.shape[1], : g.shape[2], : g.shape[3]] = g
-    return full
 
 
 def train_network(config: TrainConfig, samples: list):

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from ndcmesh.errors import ShapeError
-from ndcmesh.nn import (Adam, Conv3d, LeakyReLU, Linear, MaxPoolAxis, Param,
-                        ResBlockFC, Sequential, Sigmoid, masked_bce_loss,
-                        masked_mse_loss, sigmoid)
+from ndcmesh.nn import (BCE_EPS, Adam, Conv3d, LeakyReLU, Linear, MaxPoolAxis, Param,
+                        ResBlockFC, Sequential, Sigmoid, bce_loss, mse_loss, sigmoid)
 from ndcmesh.nn.network import band_sets, stack_rows
 from ndcmesh.rng import rng_for
 
@@ -317,54 +316,62 @@ def test_maxpool_routes_gradient_to_argmax_only():
     assert np.array_equal(gx, [[0.0, 10.0, 0.0], [20.0, 0.0, 0.0]])
 
 
-def test_masked_mse_documented_values():
-    pred = np.zeros((2, 2, 3))
-    gt = np.ones((2, 2, 3))
-    mask = np.zeros((2, 2), dtype=bool)
-    mask[0, 1] = True
-    loss, grad = masked_mse_loss(pred, gt, mask)
-    assert loss == 3.0
-    want = np.zeros_like(pred)
-    want[0, 1] = -2.0
-    assert np.array_equal(grad, want)
-    loss0, grad0 = masked_mse_loss(pred, gt, np.zeros((2, 2), dtype=bool))
-    assert loss0 == 0.0 and not grad0.any()
+def test_mse_documented_values():
+    pred = np.zeros((2, 3))
+    gt = np.zeros((2, 3))
+    gt[1] = 1.0
+    loss, grad = mse_loss(pred[1:], gt[1:])
+    assert loss == 3.0 and np.array_equal(grad, np.full((1, 3), -2.0))
+    # the mean is over rows: a second, exact row halves the loss
+    loss, grad = mse_loss(pred, gt)
+    assert loss == 1.5 and np.array_equal(grad, [[0.0, 0.0, 0.0], [-1.0, -1.0, -1.0]])
+    loss0, grad0 = mse_loss(np.zeros((0, 3)), np.zeros((0, 3)))
+    assert loss0 == 0.0 and grad0.shape == (0, 3)
 
 
-def test_masked_bce_documented_values():
-    logits = np.zeros((3, 3))
-    labels = np.zeros((3, 3))
-    labels[1, 1] = 1.0
-    mask = np.ones((3, 3), dtype=bool)
-    loss, grad = masked_bce_loss(logits, labels, mask)
+def test_bce_documented_values():
+    logits = np.zeros(9)
+    labels = np.zeros(9)
+    labels[4] = 1.0
+    loss, grad = bce_loss(logits, labels)
     assert abs(loss - math.log(2.0)) < 1e-12
     assert np.allclose(grad, (0.5 - labels) / 9.0, atol=1e-15)
-    loss0, grad0 = masked_bce_loss(logits, labels, np.zeros((3, 3), dtype=bool))
-    assert loss0 == 0.0 and not grad0.any()
+    loss0, grad0 = bce_loss(np.zeros(0), np.zeros(0, dtype=bool))
+    assert loss0 == 0.0 and grad0.shape == (0,)
+
+
+def test_bce_clamps_saturated_logits_in_the_log_only():
+    """Logits of +-800 against the opposite labels cost -log(BCE_EPS)
+    each, a finite loss, and the gradient stays the exact (p - y) / n."""
+    logits = np.array([800.0, -800.0, 800.0, -800.0])
+    labels = np.array([False, True, False, True])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        loss, grad = bce_loss(logits, labels)
+    assert loss == pytest.approx(-math.log(BCE_EPS), rel=1e-9)
+    assert np.array_equal(grad, (sigmoid(logits) - labels) / 4)
+    assert np.array_equal(grad, [0.25, -0.25, 0.25, -0.25])
 
 
 def test_loss_gradients_match_finite_differences():
     rng = rng_for(27, "loss-fd")
-    pred = rng.standard_normal((4, 4, 4, 3))
-    gt = rng.standard_normal((4, 4, 4, 3))
-    mask = rng.random((4, 4, 4)) < 0.5
-    mask[0, 0, 0] = True
-    fd = fd_grad(lambda: masked_mse_loss(pred, gt, mask)[0], pred)
-    assert max_rel_err(fd, masked_mse_loss(pred, gt, mask)[1]) < FD_TOL
+    pred = rng.standard_normal((20, 3))
+    gt = rng.standard_normal((20, 3))
+    fd = fd_grad(lambda: mse_loss(pred, gt)[0], pred)
+    assert max_rel_err(fd, mse_loss(pred, gt)[1]) < FD_TOL
 
-    logits = 2.0 * rng.standard_normal((4, 4, 4))
-    labels = (rng.random((4, 4, 4)) < 0.5).astype(np.float64)
-    bmask = rng.random((4, 4, 4)) < 0.5
-    bmask[1, 1, 1] = True
-    fd = fd_grad(lambda: masked_bce_loss(logits, labels, bmask)[0], logits)
-    assert max_rel_err(fd, masked_bce_loss(logits, labels, bmask)[1]) < FD_TOL
+    logits = 2.0 * rng.standard_normal(30)
+    labels = (rng.random(30) < 0.5).astype(np.float64)
+    fd = fd_grad(lambda: bce_loss(logits, labels)[0], logits)
+    assert max_rel_err(fd, bce_loss(logits, labels)[1]) < FD_TOL
 
 
 def test_loss_shape_mismatch_raises():
     with pytest.raises(ShapeError):
-        masked_mse_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(3, dtype=bool))
+        mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(ShapeError):
-        masked_bce_loss(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((2, 3), dtype=bool))
+        mse_loss(np.zeros(3), np.zeros(3))
+    with pytest.raises(ShapeError):
+        bce_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 def test_sigmoid_saturates_without_overflow():

@@ -1,21 +1,24 @@
 """Networks and training: the point network's backward pass against
 finite differences, its invariance to point order, neighbor queries
 against a brute-force order, band-sparse training steps against a dense
-forward and backward, reproducible training runs and divergence, and
-set-restricted prediction against the dense pass."""
+forward and backward and against a loss computed on logit volumes,
+reproducible training runs and divergence, set-restricted prediction
+against the dense pass, and masks off a head's lattice."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from ndcmesh._dual import edge_field_to_cells
 from ndcmesh.csg import random_scene
 from ndcmesh.datagen import cloud_active_cells, make_training_sample, sample_point_cloud
 from ndcmesh.errors import NonFiniteValues, ShapeError, TrainingDiverged
 from ndcmesh.fileio import save_weights
 from ndcmesh.grids import GridDims, GridKind, ScalarGrid
-from ndcmesh.nn import (GRID_VARIANTS, Conv3d, GridNetwork, PointNetwork, TrainConfig,
-                        cloud_neighbors, knn_indices, sigmoid, train_network, train_step)
+from ndcmesh.nn import (BCE_EPS, GRID_VARIANTS, Conv3d, GridNetwork, PointNetwork, TrainConfig,
+                        Sigmoid, cloud_neighbors, knn_indices, sigmoid, train_network,
+                        train_step)
 from ndcmesh.nn.network import band_sets, stack_rows
 from ndcmesh.nn.train import head_loss, supervised_outputs
 from ndcmesh.rng import rng_for
@@ -108,7 +111,9 @@ def _weights_bytes(tmp_path, config, samples, name):
 
 
 @pytest.mark.parametrize("variant,head,kind", [("sdf_v", None, "sdf"),
-                                               ("pc_encoder", "flag", "points")])
+                                               ("pc_encoder", "flag", "points"),
+                                               ("sdf_s", None, "sdf"),
+                                               ("sdf_f", None, "sdf")])
 def test_training_twice_from_one_seed_saves_identical_weights(tmp_path, variant, head, kind):
     dims = GridDims(13, 13, 13)
     samples = [make_training_sample(random_scene(s, 12.0), dims, kind, seed=s, cloud_size=256)
@@ -164,15 +169,31 @@ def dense_stack_backward(stack, x, glogits):
     return glogits, grads
 
 
+def on_output_grid(out, shape):
+    """A head-lattice mask over a network's output grid: a grid
+    network's cell heads read the logits at each cell's min corner."""
+    return out if out.shape == shape else np.pad(out, [(0, 1)] * 3)
+
+
 def dense_training_step(net, sample):
     """The loss and the parameter gradients of one training step run
-    densely over the whole grid, parameters in params() order."""
+    densely over the whole grid, parameters in params() order. The loss
+    reads the dense logits at the supervised outputs."""
     net.zero_grad()
+    out = supervised_outputs(net, sample)
+
+    def loss_and_gradient(logits):
+        at = on_output_grid(out, logits.shape[1:])
+        loss, grows = head_loss(net, sample, logits[:, at], out)
+        glogits = np.zeros_like(logits)
+        glogits[:, at] = grows
+        return loss, glogits
+
     if net.variant == "pc_encoder":
         nb = cloud_neighbors(sample.cloud, sample.dims)
         vol = np.zeros((net.channels,) + sample.dims.cell_shape, dtype=net.dtype)
         vol[:, nb.active] = net._cell_features(nb).T
-        loss, glogits = head_loss(net, sample, net.grid.forward(vol))
+        loss, glogits = loss_and_gradient(net.grid.forward(vol))
         gvol, grads = dense_stack_backward(net.grid, vol, glogits)
         gcat = net.cell_enc.backward(net.cell_pool.backward(gvol[:, nb.active].T))
         gfeats = np.zeros((len(nb.cloud), net.channels), dtype=net.dtype)
@@ -180,7 +201,7 @@ def dense_training_step(net, sample):
         net.point_enc.backward(net.point_pool.backward(net.res.backward(gfeats)))
     else:
         x = net.input_tensor(sample.grid)
-        loss, glogits = head_loss(net, sample, net.forward_logits(x))
+        loss, glogits = loss_and_gradient(net.forward_logits(x))
         _, grads = dense_stack_backward(net.trunk, x, glogits)
     return loss, [g for layer in net.param_layers()
                   for g in grads.get(layer, (layer.weight.grad, layer.bias.grad))]
@@ -199,19 +220,27 @@ class CaptureGradients:
         self.net.zero_grad()
 
 
+def training_nets_and_samples(scene_seed, net_seed):
+    """Every grid variant and point head with random biases, each with a
+    13^3 sample of its input kind from random_scene(scene_seed)."""
+    dims = GridDims(13, 13, 13)
+    scene = random_scene(scene_seed, 12.0)
+    samples = {kind: make_training_sample(scene, dims, kind, seed=scene_seed, cloud_size=256)
+               for kind in ("sdf", "occ", "points")}
+    nets = [GridNetwork(v, channels=6, seed=net_seed) for v in GRID_VARIANTS]
+    nets += [PointNetwork(h, channels=6, seed=net_seed, resblocks=1)
+             for h in ("flag", "vertex")]
+    for net in nets:
+        random_biases(net, net_seed)
+        yield net, samples["points" if net.variant == "pc_encoder" else net.input_kind]
+
+
 def test_band_sparse_training_steps_equal_the_dense_pass():
     """train_step runs each network on its head's supervision mask only;
     its loss is the dense pass's bit for bit, and every parameter
     gradient the dense backward pass's to float32 rounding."""
-    dims = GridDims(13, 13, 13)
-    scene = random_scene(63, 12.0)  # every mask holds 0.5% to 25% of its grid
-    samples = {kind: make_training_sample(scene, dims, kind, seed=63, cloud_size=256)
-               for kind in ("sdf", "occ", "points")}
-    nets = [GridNetwork(v, channels=6, seed=55) for v in GRID_VARIANTS]
-    nets += [PointNetwork(h, channels=6, seed=55, resblocks=1) for h in ("flag", "vertex")]
-    for net in nets:
-        random_biases(net, 55)
-        sample = samples["points" if net.variant == "pc_encoder" else net.input_kind]
+    # every mask of scene 63 holds 0.5% to 25% of its grid
+    for net, sample in training_nets_and_samples(63, 55):
         out = supervised_outputs(net, sample)
         assert out.any() and not out.all(), net.variant
         capture = CaptureGradients(net)
@@ -222,6 +251,91 @@ def test_band_sparse_training_steps_equal_the_dense_pass():
             assert got.dtype == want.dtype == np.float32
             scale = np.abs(want).max()
             assert scale > 0 and np.abs(got - want).max() <= 1e-5 * scale, (net.variant, net.head)
+
+
+def masked_mse_reference(pred, gt, mask):
+    """Mean over the masked cells of a (..., 3) volume of the squared
+    error summed per cell, and its gradient."""
+    count = int(mask.sum())
+    if count == 0:
+        return 0.0, np.zeros_like(pred)
+    diff = (pred - gt) * mask[..., None]
+    return float(np.sum(diff * diff) / count), ((2.0 / count) * diff).astype(pred.dtype)
+
+
+def masked_bce_reference(logits, labels, mask):
+    """Mean binary cross entropy over the masked entries of a volume of
+    logits, and its gradient."""
+    labels = np.asarray(labels, dtype=logits.dtype)
+    count = int(mask.sum())
+    if count == 0:
+        return 0.0, np.zeros_like(logits)
+    p = sigmoid(logits)
+    pc = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
+    per = -(labels * np.log(pc) + (1.0 - labels) * np.log1p(-pc))
+    grad = np.where(mask, p - labels, 0.0) / count
+    return float(per[mask].sum() / count), grad.astype(logits.dtype)
+
+
+def volume_head_loss(net, sample, logits):
+    """(loss, gradient) of net's head at logits over its whole output
+    grid, whose cell heads read the (3, *cell_shape) corner."""
+    m, n, k = sample.dims.cell_shape
+    cells = logits[:, :m, :n, :k]
+    if net.head == "sign":
+        loss, g = masked_bce_reference(logits[0], sample.gt_signs.inside, sample.masks.m_s)
+        return loss, g[None]
+    if net.head == "flag":
+        loss, g = masked_bce_reference(cells, edge_field_to_cells(sample.gt_flags),
+                                       edge_field_to_cells(sample.masks.m_f))
+    else:
+        act = Sigmoid()
+        pred = np.moveaxis(act.forward(cells), 0, -1)
+        loss, gp = masked_mse_reference(pred, sample.gt_offsets.offsets, sample.masks.m_v)
+        g = act.backward(np.moveaxis(gp, -1, 0)).astype(logits.dtype)
+    full = np.zeros_like(logits)
+    full[:, :m, :n, :k] = g
+    return loss, full
+
+
+def volume_training_step(net, sample):
+    """The loss and the parameter gradients of a training step whose
+    loss reads a logit volume: the rows are scattered into zero logits
+    over the network's output grid, and the loss's gradient is gathered
+    back at the rows."""
+    net.zero_grad()
+    out = supervised_outputs(net, sample)
+    if net.variant == "pc_encoder":
+        at = out
+        rows = net.forward_rows(sample.cloud, sample.dims, out)
+    else:
+        x = net.input_tensor(sample.grid)
+        at = on_output_grid(out, x.shape[1:])
+        rows = net.forward_rows(x, out)
+    logits = np.zeros((net.out_channels,) + at.shape, dtype=rows.dtype)
+    logits[:, at] = rows
+    loss, glogits = volume_head_loss(net, sample, logits)
+    net.backward_rows(glogits[:, at])
+    return loss, [p.grad.copy() for p in net.params()]
+
+
+def test_training_steps_on_rows_equal_a_loss_on_logit_volumes():
+    """The loss on rows gives every gradient of a loss on the logit
+    volume bit for bit, and the same sign and flag losses; the vertex
+    loss sums only the rows, not the volume's zeros, so it may round
+    differently, by a few ulp."""
+    for scene_seed in (63, 64):
+        for net, sample in training_nets_and_samples(scene_seed, 56):
+            capture = CaptureGradients(net)
+            loss = train_step(net, sample, capture)
+            want_loss, want_grads = volume_training_step(net, sample)
+            what = (scene_seed, net.variant, net.head)
+            if net.head == "vertex":
+                assert abs(loss - want_loss) <= 4 * np.spacing(want_loss), what
+            else:
+                assert loss == want_loss, what
+            for got, want in zip(capture.grads, want_grads, strict=True):
+                assert same_bits(got, want), what
 
 
 # ---------------------------------------------------------------- prediction
@@ -381,3 +495,25 @@ def test_point_networks_share_a_clouds_neighborhoods():
             assert same_bits(x, y), head
         with pytest.raises(ShapeError):
             net.predict(shared, GridDims(9, 8, 11))
+
+
+def test_grid_network_rows_reject_a_mask_off_the_heads_lattice():
+    dims = GridDims(8, 8, 8)
+    grid = ScalarGrid(dims, GridKind.SDF, np.full(dims.vertex_shape, 0.5))
+    for variant in ("sdf_s", "sdf_v", "sdf_f"):
+        net = GridNetwork(variant, channels=4, seed=57)
+        x = net.input_tensor(grid)
+        wrong = dims.cell_shape if net.head == "sign" else dims.vertex_shape
+        with pytest.raises(ShapeError):
+            net.forward_rows(x, np.ones(wrong, dtype=bool))
+        with pytest.raises(ShapeError):
+            net.forward_rows(x, np.ones((9, 9), dtype=bool))
+
+
+def test_point_network_rows_reject_a_mask_off_the_cell_lattice():
+    dims = GridDims(8, 8, 8)
+    cloud = 1.0 + 6.0 * rng_for(57, "cloud").random((40, 3))
+    for head in ("flag", "vertex"):
+        net = PointNetwork(head, channels=4, seed=57, resblocks=1)
+        with pytest.raises(ShapeError):
+            net.forward_rows(cloud, dims, np.ones(dims.vertex_shape, dtype=bool))
