@@ -11,12 +11,12 @@ CSG scenes or meshes, and the evaluation metric suite.
 from . import errors, fileio
 from .csg import (Box, CsgShape, Cylinder, Intersect, Sphere, Subtract,
                   Union, csg_normal_fn, random_scene)
-from .datagen import (TrainingSample, augment_sample, build_masks,
-                      cloud_active_cells, make_training_sample,
-                      pseudo_gt_vertices, sample_csg_grid, sample_point_cloud)
+from .datagen import (TrainingSample, augment_sample, cloud_active_cells,
+                      make_training_sample, pseudo_gt_vertices, sample_csg_grid,
+                      sample_point_cloud)
 from .dc import dc_extract, dc_fields
-from .grids import (EdgeField, GridDims, GridKind, MaskGrids, ScalarGrid,
-                    SignGrid, VertexOffsetGrid, edge_crossing_normals,
+from .grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
+                    VertexOffsetGrid, edge_crossing_normals,
                     edge_crossings_linear, signs_from_scalar, xor_flags)
 from .mc import mc_extract
 from .mesh import (EdgeTopologyStats, QuadMesh, TriMesh, edge_topology_stats,
@@ -35,11 +35,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box", "CsgShape", "Cylinder", "EdgeField", "EdgeTopologyStats",
-    "GridDims", "GridKind", "Intersect", "MaskGrids", "MetricsReport",
+    "GridDims", "GridKind", "Intersect", "MetricsReport",
     "NUM_TRANSFORMS", "QuadMesh",
     "SampledSurface", "ScalarGrid", "SignGrid", "Sphere", "Subtract",
     "TrainConfig", "TrainingSample", "TriMesh", "Union", "VertexOffsetGrid",
-    "augment_sample", "build_masks", "chamfer_f1", "cloud_active_cells",
+    "augment_sample", "chamfer_f1", "cloud_active_cells",
     "close_holes", "csg_normal_fn", "dc_extract", "dc_fields",
     "derive_seed", "edge_crossing_normals", "edge_crossings_linear",
     "edge_metrics", "edge_topology_stats", "errors", "evaluate_mesh",

@@ -2,10 +2,10 @@
 
 `edge_ring` is the one definition of the four cells around an edge (see
 the conventions in grids.py). Its readers: active cells and quads
-(here), per-cell DC constraints (`dc`), occupancy edge masks
-(`datagen.build_masks`), hole closing (`ndc._face_counts` and
-`ndc.close_holes`) and the cell-owned edges that the flag networks
-learn and predict (`edge_field_to_cells`, `cells_to_edge_field`).
+(here), per-cell DC constraints (`dc`), hole closing
+(`ndc._face_counts` and `ndc.close_holes`) and the cell-owned edges
+that the flag networks learn and predict (`edge_field_to_cells`,
+`cells_to_edge_field`).
 
 `neighbor_rows` is the one table of a cell set's 3x3x3 neighborhoods,
 read by the DC null-space slide (`dc`) and by the convolutions of the

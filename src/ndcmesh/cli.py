@@ -11,8 +11,7 @@ Subcommands:
 
 `gen` writes each sample's input grid or cloud and its ground-truth
 signs, flags and vertex offsets to DATA/sample_NNN/. `train` reads those
-files back and rebuilds only the supervision masks, so it learns from
-exactly the values `infer` and `mesh` read.
+files back, so it learns from exactly the values `infer` and `mesh` read.
 
 Exit codes: 0 success, 1 usage error (including numbers outside an
 option's range), 2 data error (bad files, missing inputs, diverged
@@ -32,7 +31,7 @@ import sys
 
 from . import fileio
 from .csg import csg_normal_fn, random_scene
-from .datagen import ACTIVE_MANHATTAN, BAND_WIDTH, assemble_sample, make_training_sample
+from .datagen import ACTIVE_MANHATTAN, assemble_sample, make_training_sample
 from .dc import dc_extract
 from .errors import NdcMeshError
 from .grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
@@ -42,6 +41,7 @@ from .mesh import QuadMesh, TriMesh, edge_topology_stats, split_quads
 from .metrics import evaluate_mesh
 from .ndc import close_holes, ndc_extract, undc_extract
 from .nn import TrainConfig, cloud_neighbors, train_network
+from .nn.network import BAND_WIDTH
 from .rng import derive_seed
 
 MANIFEST_NAME = "manifest.txt"
@@ -108,7 +108,7 @@ def _read_grid(path: str, cls, what: str, kind: GridKind = GridKind.SDF):
 
 
 def _load_samples(data: str, manifest: dict) -> list:
-    """The TrainingSamples `gen` wrote to `data`; only the masks are rebuilt."""
+    """The TrainingSamples `gen` wrote to `data`."""
     dims = _manifest_dims(manifest)
     kind = KIND_NAMES[manifest["kind"]]
     samples = []
@@ -431,7 +431,8 @@ def build_parser() -> _Parser:
     i = subcommand("infer", cmd_infer, "run trained networks")
     i.description = (
         f"Grid networks predict signs on the input's |v| < {BAND_WIDTH:g} band (for "
-        "voxels: the corners of surface cells) and copy the input's own sign "
+        "voxels: the corners of cells with a neighbour, among the 26 in the "
+        "grid, of the other occupancy) and copy the input's own sign "
         "elsewhere, vertex offsets at cells with a corner in that band (0.5 "
         "elsewhere) and flags on edges with both ends in it (false elsewhere). "
         f"Point networks predict at cells within {ACTIVE_MANHATTAN} Manhattan steps "

@@ -2,8 +2,11 @@
 
 Every sample carries the input field (grid or point cloud), the exact
 crossing flags, per-cell least-squares vertex offsets, ground-truth
-signs, and the supervision masks for whichever formulation (signed or
-unsigned) the sample targets.
+signs, and the formulation (signed "ndc" or unsigned "undc") it
+targets. A sample holds no supervision masks: the outputs each head is
+trained on follow from the network's own output set and from the
+sample's ground truth (nn.train.supervised_outputs), so an augmented
+sample needs only its fields transformed.
 """
 
 from __future__ import annotations
@@ -15,29 +18,23 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from ._dual import active_cell_mask, cells_to_edge_field, interior_edges, ring_cells
 from .csg import CsgShape, csg_gradient
 from .dc import qef_cell_offsets
-from .errors import (EmptyMesh, InvalidKind, NonFiniteValues, OpenMeshError, ShapeError,
-                     TooFewPoints)
+from .errors import EmptyMesh, InvalidKind, NonFiniteValues, OpenMeshError, TooFewPoints
 from .grids import (
     EdgeField,
     GridDims,
     GridKind,
-    MaskGrids,
     ScalarGrid,
     SignGrid,
     VertexOffsetGrid,
     edge_ends,
     signs_from_scalar,
     unit_normals,
-    xor_flags,
 )
-from .mc_tables import CORNER_OFFSETS
 from .mesh import TriMesh, edge_topology_stats, sample_triangles
 from .rng import rng_for
 
-BAND_WIDTH = 1.0  # field units: supervision band for grid inputs
 ACTIVE_MANHATTAN = 3  # cell units: active band around a point cloud
 PROBE_DOUBLINGS = 4  # CSG clouds: times the surface probe box may double
 SIDE_TOL = 1e-9  # cell units: a lattice line this close to a triangle side is on it
@@ -57,7 +54,6 @@ class TrainingSample:
     gt_signs: SignGrid
     gt_flags: EdgeField
     gt_offsets: VertexOffsetGrid
-    masks: MaskGrids
 
 
 # lattice points per CSG evaluation: the temporaries of a field then take
@@ -505,12 +501,11 @@ def pseudo_gt_vertices(crossings: EdgeField, normals: EdgeField, dims: GridDims)
 
     Cells without crossings get the centered offset (0.5, 0.5, 0.5).
     """
-    offsets, _ = qef_cell_offsets(crossings, normals)
-    return VertexOffsetGrid(dims, offsets)
+    return VertexOffsetGrid(dims, qef_cell_offsets(crossings, normals)[0])
 
 
 # ---------------------------------------------------------------------------
-# masks
+# point clouds
 
 
 def cloud_active_cells(cloud: np.ndarray, dims: GridDims, reach: int = ACTIVE_MANHATTAN) -> np.ndarray:
@@ -528,76 +523,6 @@ def cloud_active_cells(cloud: np.ndarray, dims: GridDims, reach: int = ACTIVE_MA
     if reach > 0:
         occ = ndimage.binary_dilation(occ, iterations=reach)
     return occ
-
-
-def build_masks(
-    dims: GridDims,
-    mode: str,
-    grid: ScalarGrid | None = None,
-    gt_signs: SignGrid | None = None,
-    gt_flags: EdgeField | None = None,
-    cloud: np.ndarray | None = None,
-) -> MaskGrids:
-    """Supervision masks for one sample.
-
-    mode "ndc" marks cells whose corner signs differ; mode "undc" marks
-    cells with at least one crossing edge. The per-vertex and per-edge
-    masks depend on the input kind: a distance band for SDF/UDF grids,
-    occupancy adjacency for voxel grids, and the Manhattan active band
-    for point clouds.
-    """
-    if mode not in ("ndc", "undc"):
-        raise ValueError(f"unknown mask mode: {mode}")
-    if mode == "ndc":
-        if gt_signs is None:
-            raise ShapeError("ndc masks need ground-truth signs")
-        m_v = active_cell_mask(xor_flags(gt_signs))
-    else:
-        if gt_flags is None:
-            raise ShapeError("undc masks need ground-truth flags")
-        m_v = active_cell_mask(gt_flags)
-
-    m_s = np.zeros(dims.vertex_shape, dtype=bool)
-    m_f = EdgeField.full(dims, False, bool)
-
-    if cloud is not None:
-        active = cloud_active_cells(cloud, dims)
-        m_f = cells_to_edge_field(np.broadcast_to(active, (3,) + active.shape), dims)
-    elif grid is not None:
-        m_s = vertex_band(grid)
-        if grid.kind == GridKind.OCC:
-            # edges whose four surrounding cells are all occupied
-            occ = grid.values[:-1, :-1, :-1] > 0.5
-            for a in range(3):
-                m_f.axis(a)[interior_edges(a)] = np.logical_and.reduce(ring_cells(occ, a))
-        else:
-            m_f = band_edges(dims, m_s)
-    return MaskGrids(dims, m_s, m_v, m_f)
-
-
-def vertex_band(grid: ScalarGrid) -> np.ndarray:
-    """The vertices a grid input supervises and predicts signs at: |v| <
-    BAND_WIDTH for SDF/UDF, the corners of surface cells (occupied cells
-    with an empty or out-of-grid cell among their 26 neighbors) for OCC."""
-    if grid.kind != GridKind.OCC:
-        return np.abs(grid.values) < BAND_WIDTH
-    occ = grid.values[:-1, :-1, :-1] > 0.5
-    padded = np.pad(occ, 1, constant_values=False)
-    eroded = ndimage.minimum_filter(padded.astype(np.int8), size=3)[1:-1, 1:-1, 1:-1] > 0
-    surface_cells = occ & ~eroded
-    band = np.zeros(grid.dims.vertex_shape, dtype=bool)
-    for corner in CORNER_OFFSETS:
-        band[tuple(slice(o, o + n) for o, n in zip(corner, occ.shape))] |= surface_cells
-    return band
-
-
-def band_edges(dims: GridDims, band: np.ndarray) -> EdgeField:
-    """Edges with both endpoints in a per-vertex band."""
-    return EdgeField(dims, *(np.logical_and(*edge_ends(band, a)) for a in range(3)))
-
-
-# ---------------------------------------------------------------------------
-# point clouds
 
 
 def sample_point_cloud(
@@ -694,14 +619,13 @@ def assemble_sample(
     gt_flags: EdgeField,
     gt_offsets: VertexOffsetGrid,
 ) -> TrainingSample:
-    """A sample from its input and ground truth; only the masks are built.
+    """A sample from its input and ground truth.
 
     kind is the network input: a scalar grid kind or "points". The mode
     is "ndc" for signed inputs and "undc" for UDF and point clouds.
     """
     mode = "undc" if kind in ("points", GridKind.UDF) else "ndc"
-    masks = build_masks(dims, mode, grid=grid, gt_signs=gt_signs, gt_flags=gt_flags, cloud=cloud)
-    return TrainingSample(dims, mode, grid, cloud, gt_signs, gt_flags, gt_offsets, masks)
+    return TrainingSample(dims, mode, grid, cloud, gt_signs, gt_flags, gt_offsets)
 
 
 def make_training_sample(
@@ -771,7 +695,6 @@ def augment_sample(sample: TrainingSample, transform_id: int) -> TrainingSample:
     new_dims = tf.transformed_dims(sample.dims, transform_id)
     grid = tf.transform_scalar_grid(sample.grid, transform_id) if sample.grid is not None else None
     cloud = tf.transform_points(sample.cloud, sample.dims, transform_id) if sample.cloud is not None else None
-    masks = tf.transform_masks(sample.masks, transform_id)
     return TrainingSample(
         new_dims,
         sample.mode,
@@ -780,5 +703,4 @@ def augment_sample(sample: TrainingSample, transform_id: int) -> TrainingSample:
         tf.transform_sign_grid(sample.gt_signs, transform_id),
         tf.transform_edge_field(sample.gt_flags, transform_id),
         tf.transform_offsets(sample.gt_offsets, transform_id),
-        masks,
     )

@@ -31,7 +31,7 @@ from .grids import (
     xor_flags,
 )
 from .mesh import QuadMesh
-from .qef import TRUNCATION_RATIO, qef_solve_batch
+from .qef import TRUNCATION_RATIO, qef_solve_svd
 
 NormalSource = Callable[[np.ndarray], np.ndarray] | Literal["estimated"]
 
@@ -136,14 +136,16 @@ def qef_cell_offsets(
 ):
     """One QEF solve per cell that has a crossing edge.
 
-    Returns (offsets, table): cell-local vertex offsets clamped to bounds,
-    (0.5, 0.5, 0.5) for cells without crossings, and the constraint
-    table of `_cell_constraints`, whose rows the offsets solve.
+    Returns (offsets, table, keep, vt): cell-local vertex offsets clamped
+    to bounds, (0.5, 0.5, 0.5) for cells without crossings; the
+    constraint table of `_cell_constraints`, whose rows the offsets
+    solve; and per table row, the directions the solve kept and its
+    right singular vectors (qef_solve_svd).
     """
     table = cells, valid, pts, nrm = _cell_constraints(crossings, normals, anchors)
     offsets = np.full(crossings.dims.cell_shape + (3,), 0.5)
-    offsets[tuple(cells.T)] = qef_solve_batch(pts, nrm, valid, bounds)
-    return offsets, table
+    offsets[tuple(cells.T)], keep, vt = qef_solve_svd(pts, nrm, valid, bounds)
+    return offsets, table, keep, vt
 
 
 def _gather_neighborhood(nb: np.ndarray, table):
@@ -214,12 +216,10 @@ def _dc_solve(
             grid, crossings, normal_source, iso)
 
     bounds = (np.full(3, -CELL_MARGIN), np.full(3, 1.0 + CELL_MARGIN))
-    offsets, table = qef_cell_offsets(crossings, normals, anchors, bounds)
+    offsets, table, kept, vt = qef_cell_offsets(crossings, normals, anchors, bounds)
     if anchors is not None:
-        cells, valid, _, nrm = table
+        cells = table[0]
         sol = offsets[tuple(cells.T)]
-        _, s, vt = np.linalg.svd(nrm * valid[..., None], full_matrices=False)
-        kept = s >= TRUNCATION_RATIO * s[:, :1]
         deficient = np.flatnonzero(~kept[:, 2])
         nb = neighbor_rows(deficient, cells, grid.dims.cell_shape)
         # every row's arithmetic is its own, so blocking changes no result

@@ -16,8 +16,8 @@ Conventions used across the package:
   along a, and the slot with r = 0 is the edge the cell owns.
   `_dual.edge_ring` holds this table, and every lattice incidence reads
   it: active cells and quads (`_dual`), per-cell DC constraints (`dc`),
-  occupancy edge masks (`datagen`), hole closing (`ndc`) and the
-  cell-owned edges the flag networks learn (`_dual.edge_field_to_cells`).
+  hole closing (`ndc`) and the cell-owned edges the flag networks learn
+  (`_dual.edge_field_to_cells`).
 * A vertex is inside the shape when its scalar value is strictly below
   the iso level; a value exactly at the level counts as outside.
 * Serialized payloads are laid out x-fastest, then y, then z (Fortran
@@ -172,22 +172,6 @@ class VertexOffsetGrid:
         _check_shape("VertexOffsetGrid.offsets", self.offsets, self.dims.cell_shape + (3,))
         if not np.all(np.isfinite(self.offsets)):
             raise NonFiniteValues("VertexOffsetGrid.offsets must be finite")
-
-
-@dataclass
-class MaskGrids:
-    """Supervision masks: per-vertex m_s, per-cell m_v, per-edge m_f."""
-
-    dims: GridDims
-    m_s: np.ndarray
-    m_v: np.ndarray
-    m_f: EdgeField
-
-    def __post_init__(self):
-        self.m_s = np.asarray(self.m_s, dtype=bool)
-        self.m_v = np.asarray(self.m_v, dtype=bool)
-        _check_shape("MaskGrids.m_s", self.m_s, self.dims.vertex_shape)
-        _check_shape("MaskGrids.m_v", self.m_v, self.dims.cell_shape)
 
 
 def signs_from_scalar(grid: ScalarGrid, iso: float = 0.0) -> SignGrid:

@@ -21,25 +21,27 @@ over the head's lattice, through band_sets and stack_rows: 3^3 layer i
 of n runs on those outputs dilated by n-1-i voxels and the 1^3 layers
 on the outputs alone, and the rows equal the dense pass's voxels bit
 for bit. Only forward_rows maps a cell mask onto the vertex lattice.
-Training uses the head's supervision mask (nn.train), outside which the
-loss, and so every gradient, is zero; backward_rows
-(stack_rows_backward) is exact there. predict uses the outputs a mesh
-can read, which the supervision band S of the input
-(datagen.vertex_band: |v| < BAND_WIDTH for SDF/UDF, the corners of
-surface cells for OCC) decides:
+
+used_outputs is the one definition of a head's output set: predict
+computes it and fills the rest, and training (nn.train) supervises the
+sign and flag heads on exactly it. With S the input's band
+(vertex_band: |v| < BAND_WIDTH for SDF/UDF, the corners of boundary
+cells for OCC):
   sign    predicted on S; elsewhere the input's own sign (v < 0, or
           for OCC the occupancy of the vertex's own cell).
   vertex  predicted at cells with a corner in S; elsewhere 0.5.
   flag    predicted on edges with both ends in S; elsewhere false.
-The dense forward_logits is the reference both are tested against.
+Outside the supervised outputs the loss, and so every gradient, is
+zero; backward_rows (stack_rows_backward) is exact there. The dense
+forward_logits is the reference both passes are tested against.
 """
 
 import numpy as np
+from scipy import ndimage
 
 from .._dual import cells_to_edge_field, edge_field_to_cells, neighbor_rows
-from ..datagen import band_edges, vertex_band
 from ..errors import InvalidKind, ShapeError
-from ..grids import GridKind, ScalarGrid, SignGrid, VertexOffsetGrid, edge_ends
+from ..grids import EdgeField, GridDims, GridKind, ScalarGrid, SignGrid, VertexOffsetGrid, edge_ends
 from ..mc_tables import CORNER_OFFSETS
 from ..rng import rng_for
 from .layers import Conv3d, LeakyReLU, Layer, Sequential, sigmoid
@@ -53,6 +55,29 @@ GRID_VARIANTS = {
     "vox_f": ("occ", "flag", 7),
 }
 HEAD_CHANNELS = {"sign": 1, "vertex": 3, "flag": 3}
+BAND_WIDTH = 1.0  # field units: the band of SDF/UDF inputs
+
+
+def vertex_band(grid: ScalarGrid) -> np.ndarray:
+    """The vertices a grid network predicts signs at: |v| < BAND_WIDTH
+    for SDF/UDF; for OCC, the corners of boundary cells, those with an
+    in-grid 26-neighbour of the other occupancy. That rule is unchanged
+    by the 96 transforms, sign inversion included."""
+    if grid.kind != GridKind.OCC:
+        return np.abs(grid.values) < BAND_WIDTH
+    occ = grid.values[:-1, :-1, :-1] > 0.5
+    # "nearest" repeats a border cell, so only in-grid neighbours count
+    boundary = (ndimage.maximum_filter(occ, size=3, mode="nearest")
+                != ndimage.minimum_filter(occ, size=3, mode="nearest"))
+    band = np.zeros(grid.dims.vertex_shape, dtype=bool)
+    for corner in CORNER_OFFSETS:
+        band[tuple(slice(o, o + n) for o, n in zip(corner, occ.shape))] |= boundary
+    return band
+
+
+def band_edges(dims: GridDims, band: np.ndarray) -> EdgeField:
+    """Edges with both endpoints in a per-vertex band."""
+    return EdgeField(dims, *(np.logical_and(*edge_ends(band, a)) for a in range(3)))
 
 
 def conv_stack(in_channels: int, channels: int, out_channels: int, n_conv3: int,
@@ -183,16 +208,10 @@ class GridNetwork(Layer):
         return grid.values[None].astype(self.dtype)
 
     def predict(self, grid: ScalarGrid):
-        """Thresholded, typed output for this network's head.
-
-        With S the input's supervision band (datagen.vertex_band), signs
-        are predicted on S and copy the input's own sign elsewhere;
-        vertex offsets are predicted at cells with a corner in S and are
-        0.5 elsewhere; flags are predicted on edges with both ends in S
-        and are false elsewhere.
-        """
+        """Thresholded, typed output for this network's head: computed at
+        used_outputs, the fill elsewhere."""
         x = self.input_tensor(grid)
-        used, fill = self._used_outputs(grid)
+        used, fill = self.used_outputs(grid)
         out = used.any(axis=0)
         probs = np.zeros(used.shape, dtype=self.dtype)
         probs[:, out] = sigmoid(self.forward_rows(x, out))
@@ -201,9 +220,13 @@ class GridNetwork(Layer):
             return SignGrid(grid.dims, probs[0] > 0.5)
         return cell_head_output(self.head, probs, grid.dims)
 
-    def _used_outputs(self, grid: ScalarGrid):
+    def used_outputs(self, grid: ScalarGrid):
         """(C, *lattice) mask of the outputs predict computes, and the
-        fill of the others."""
+        fill of the others. With S = vertex_band(grid): signs on S,
+        filled with the input's own sign; vertex offsets at cells with a
+        corner in S, filled with 0.5; flags on the cell-owned edges with
+        both ends in S, filled with false."""
+        self._check_grid(grid)
         band = vertex_band(grid)
         if self.head == "sign":
             own = grid.values > 0.5 if grid.kind is GridKind.OCC else grid.values < 0

@@ -10,23 +10,23 @@ contains a point (datagen.cloud_active_cells); all other cells carry
 zero features. Stage three runs three 3^3 and three 1^3 convolutions
 over the cell grid to produce head logits.
 
-Training runs stage three band-sparse, like GridNetwork (network.
-stack_rows): on band_sets of the head's supervision mask, from an input
-that is non-zero only at active cells, and its input gradient is read
-only there. predict runs stage three over the whole grid and keeps its
-output at the active cells only; every other cell gets no crossing on
-the flag head and the cell center (0.5) on the vertex head. Unlike
+The head's output set, used_outputs, is the active cells on every
+channel: predict keeps its output there, and every other cell gets no
+crossing on the flag head and the cell center (0.5) on the vertex head.
+Training supervises the flag head on exactly that set. It runs stage
+three band-sparse, like GridNetwork (network.stack_rows): on band_sets
+of the supervised cells, from an input that is non-zero only at active
+cells, and its input gradient is read only there. Unlike
 GridNetwork.predict, predict's grid stage is not run band-sparse: the
 active set follows how far the points spread (2,300 to 9,400 cells for
 2,048-point clouds of random 48^3 scenes), and a sparse pass's cost
 with it, while the dense pass costs the same for every cloud.
 
 Both neighborhoods hold K_NEIGHBORS points, and the active reach is
-datagen.ACTIVE_MANHATTAN, the one the supervision masks use; neither is
-an option of the network. So they depend on the cloud alone:
-cloud_neighbors finds them once, and every network that reads the same
-cloud (`ndcmesh infer` with a flag and a vertex head) takes the same
-CloudNeighbors.
+datagen.ACTIVE_MANHATTAN; neither is an option of the network. So they
+depend on the cloud alone: cloud_neighbors finds them once, and every
+network that reads the same cloud (`ndcmesh infer` with a flag and a
+vertex head) takes the same CloudNeighbors.
 
 Neighbor queries break distance ties by the smaller point index. The
 neighbor sets therefore do not depend on the input point order, except
@@ -234,11 +234,17 @@ class PointNetwork(Layer):
         gfeats = self.res.backward(gfeats)
         self.point_enc.backward(self.point_pool.backward(gfeats))
 
+    def used_outputs(self, nb: CloudNeighbors):
+        """(3, *cell_shape) mask of the outputs predict computes, the
+        active cells on every channel, and the fill of the others: no
+        crossing on the flag head, the cell center on the vertex head."""
+        return (np.broadcast_to(nb.active, (3,) + nb.active.shape),
+                0.0 if self.head == "flag" else 0.5)
+
     def predict(self, cloud, dims: GridDims):
-        """Typed head output, predicted at the active cells; every other
-        cell predicts no crossing on the flag head and the cell center on
-        the vertex head. `cloud` is an (N, 3) array or its CloudNeighbors,
+        """Typed head output: computed at used_outputs, the fill
+        elsewhere. `cloud` is an (N, 3) array or its CloudNeighbors,
         which several networks can share."""
         nb, logits = self._logits(cloud, dims)
-        probs = np.where(nb.active, sigmoid(logits), 0.0 if self.head == "flag" else 0.5)
-        return cell_head_output(self.head, probs, dims)
+        used, fill = self.used_outputs(nb)
+        return cell_head_output(self.head, np.where(used, sigmoid(logits), fill), dims)

@@ -1,11 +1,14 @@
 """Training loop: one network head, batch size 1, Adam.
 
 Each head trains on its own loss against the sample's ground truth,
-restricted to that head's supervision mask (over vertices for signs,
-cells otherwise). The loss, and with it every gradient, is zero outside
-that mask, so each step runs the network on the mask alone
-(forward_rows, backward_rows), and the loss reads those rows and its
-targets gathered there. The learning rate halves
+restricted to the head's supervised outputs (supervised_outputs): the
+sign and flag heads on exactly the outputs predict computes (the
+network's used_outputs), the vertex head at the cells with a
+ground-truth vertex. Both are computed in each step from the possibly
+augmented sample. The loss, and with it every gradient, is zero outside
+that set, so each step runs the network on it alone (forward_rows,
+backward_rows), and the loss reads those rows and its targets gathered
+there. The learning rate halves
 every `halve_every` epochs (0 disables the schedule). With
 augmentation enabled, each sample gets one group transform per epoch,
 drawn deterministically from the seed. Sample order, augmentation and
@@ -16,15 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._dual import edge_field_to_cells
+from .._dual import active_cell_mask, edge_field_to_cells
 from ..datagen import TrainingSample, augment_sample
 from ..errors import TrainingDiverged
+from ..grids import xor_flags
 from ..rng import rng_for
 from ..transforms import NUM_TRANSFORMS
 from .adam import Adam
 from .layers import Sigmoid
 from .losses import bce_loss, mse_loss
 from .network import make_network
+from .pointnet import cloud_neighbors
 
 
 @dataclass
@@ -40,27 +45,36 @@ class TrainConfig:
     stop_below: float | None = None
 
 
-def supervised_outputs(net, sample: TrainingSample) -> np.ndarray:
-    """The outputs the loss of net's head reads, a mask over the head's
-    lattice: m_s for signs, m_v for vertices, and the cells owning an m_f
-    edge for flags."""
-    masks = sample.masks
-    if net.head == "sign":
-        return masks.m_s
+def network_input(net, sample: TrainingSample):
+    """What net reads of a sample: its grid, or its cloud's neighborhoods."""
+    if net.variant == "pc_encoder":
+        return cloud_neighbors(sample.cloud, sample.dims)
+    return sample.grid
+
+
+def supervised_outputs(net, sample: TrainingSample, inp=None) -> np.ndarray:
+    """(C, *lattice) mask of the outputs the loss of net's head reads:
+    net.used_outputs of its input `inp` (network_input of the sample by
+    default) for signs and flags; for vertices, the cells with a
+    ground-truth vertex, those the sample's sign changes (ndc) or
+    crossing flags (undc) make active."""
     if net.head == "vertex":
-        return masks.m_v
-    return edge_field_to_cells(masks.m_f).any(axis=0)
+        flags = xor_flags(sample.gt_signs) if sample.mode == "ndc" else sample.gt_flags
+        cells = active_cell_mask(flags)
+        return np.broadcast_to(cells, (3,) + cells.shape)
+    return net.used_outputs(network_input(net, sample) if inp is None else inp)[0]
 
 
-def head_loss(net, sample: TrainingSample, rows: np.ndarray, out: np.ndarray):
-    """(loss, gradient) of net's head at its rows, the logits at mask
-    `out` (supervised_outputs); a flag row is supervised only on the
-    channels whose edge is in m_f."""
+def head_loss(net, sample: TrainingSample, rows: np.ndarray, used: np.ndarray):
+    """(loss, gradient) of net's head at its rows, the logits at the
+    outputs of `used` (supervised_outputs) that any channel has; a flag
+    row is supervised only on the channels `used` holds."""
+    out = used.any(axis=0)
     if net.head == "sign":
         loss, g = bce_loss(rows[0], sample.gt_signs.inside[out])
         return loss, g[None]
     if net.head == "flag":
-        mask = edge_field_to_cells(sample.masks.m_f)[:, out]
+        mask = used[:, out]
         labels = edge_field_to_cells(sample.gt_flags)[:, out]
         loss, g = bce_loss(rows[mask], labels[mask])
         grad = np.zeros_like(rows)
@@ -73,12 +87,14 @@ def head_loss(net, sample: TrainingSample, rows: np.ndarray, out: np.ndarray):
 
 def train_step(net, sample: TrainingSample, adam: Adam) -> float:
     """One forward/backward/update on a single sample; returns the loss."""
-    out = supervised_outputs(net, sample)
+    inp = network_input(net, sample)
+    used = supervised_outputs(net, sample, inp)
+    out = used.any(axis=0)
     if net.variant == "pc_encoder":
-        rows = net.forward_rows(sample.cloud, sample.dims, out)
+        rows = net.forward_rows(inp, sample.dims, out)
     else:
-        rows = net.forward_rows(net.input_tensor(sample.grid), out)
-    loss, grows = head_loss(net, sample, rows, out)
+        rows = net.forward_rows(net.input_tensor(inp), out)
+    loss, grows = head_loss(net, sample, rows, used)
     # the last conv sums its weight and bias gradients in an order that
     # follows gy's layout; Fortran order, that of a gather from a logit
     # volume (logits[:, out]), keeps the trained weights bit-identical to

@@ -30,6 +30,20 @@ def qef_solve_batch(
     clamped to bounds, guaranteed no worse (in the QEF objective) than the
     mass point of the valid constraints.
     """
+    return qef_solve_svd(points, normals, valid, bounds)[0]
+
+
+def qef_solve_svd(
+    points: np.ndarray,
+    normals: np.ndarray,
+    valid: np.ndarray,
+    bounds: tuple[np.ndarray, np.ndarray] | None = _UNIT_BOUNDS,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """qef_solve_batch's positions, with the decomposition they came from:
+    returns (positions, keep, vt), where vt (B, r, 3), r = min(N, 3),
+    holds the right singular vectors of the masked normal matrix by
+    decreasing singular value and keep (B, r) marks the directions the
+    solve kept."""
     points = np.asarray(points, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
@@ -64,7 +78,7 @@ def qef_solve_batch(
     worse = objective(x) > objective(fallback) + 1e-12
     if np.any(worse):
         x = np.where(worse[:, None], fallback, x)
-    return x
+    return x, keep, vt
 
 
 def qef_solve(

@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .grids import EdgeField, GridDims, GridKind, MaskGrids, ScalarGrid, SignGrid, VertexOffsetGrid
+from .grids import EdgeField, GridDims, GridKind, ScalarGrid, SignGrid, VertexOffsetGrid
 
 PERMS: tuple[tuple[int, int, int], ...] = tuple(itertools.permutations(range(3)))
 NUM_SPATIAL = 48
@@ -153,12 +153,3 @@ def transform_points(points: np.ndarray, dims: GridDims, transform_id: int) -> n
             col = (sizes[perm[j]] - 1) - col
         cols.append(col)
     return np.stack(cols, axis=1)
-
-
-def transform_masks(masks: MaskGrids, transform_id: int) -> MaskGrids:
-    return MaskGrids(
-        transformed_dims(masks.dims, transform_id),
-        transform_vertex_array(masks.m_s, transform_id),
-        transform_vertex_array(masks.m_v, transform_id),
-        transform_edge_field(masks.m_f, transform_id),
-    )

@@ -14,10 +14,11 @@ from ndcmesh.nn import make_network
 
 def run_chain(root: str) -> None:
     """gen -> train -> infer -> mesh (all modes) -> eval/stats, then the
-    mesh-sourced and point-cloud datasets; every call must exit 0."""
+    mesh-sourced, point-cloud and voxel datasets; every call must exit 0."""
     data = os.path.join(root, "csg")
     obj = os.path.join(root, "obj")
     pts = os.path.join(root, "points")
+    vox = os.path.join(root, "voxel")
     sample = os.path.join(data, "sample_000", "input.ndcg")
     calls = [
         ["gen", "--out", data, "--count", "2", "--res", "12", "--seed", "3"],
@@ -34,6 +35,10 @@ def run_chain(root: str) -> None:
         ["gen", "--out", obj, "--obj", os.path.join(data, "mesh_mc.obj"), "--res", "12"],
         ["gen", "--out", pts, "--kind", "points", "--res", "12", "--cloud-size", "256"],
         ["train", "--data", pts, "--head", "flags", "--steps", "2", "--channels", "8"],
+        ["gen", "--out", vox, "--kind", "voxel", "--res", "12", "--seed", "3"],
+        ["train", "--data", vox, "--head", "signs", "--steps", "2", "--channels", "8"],
+        ["train", "--data", vox, "--head", "flags", "--steps", "2", "--channels", "8"],
+        ["mesh", "--data", vox, "--mode", "undc"],
     ]
     for argv in calls:
         assert cli_main(argv) == 0, argv
@@ -59,6 +64,8 @@ def test_the_whole_chain_exits_0_and_reruns_byte_identically(tmp_path):
         assert os.path.join("csg", name) in first, name
     assert os.path.join("obj", "sample_000", "gt_signs.ndcg") in first
     assert os.path.join("points", "pc_f.ndcw") in first
+    for name in ("vox_s.ndcw", "vox_f.ndcw", "mesh_undc.obj"):
+        assert os.path.join("voxel", name) in first, name
     shutil.rmtree(root)
     run_chain(root)
     assert snapshot(root) == first

@@ -1,5 +1,6 @@
-"""Ground-truth fields, masks, clouds, and sample assembly."""
+"""Ground-truth fields, output sets, clouds, and sample assembly."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,20 +8,25 @@ import pytest
 
 import ndcmesh.datagen as datagen
 from ndcmesh.csg import Box, Sphere, random_scene
-from ndcmesh.datagen import (BAND_WIDTH, PAIR_CHUNK, SIDE_TOL, _triangle_columns,
-                             _unsigned_distance, augment_sample, build_masks,
+from ndcmesh._dual import cells_to_edge_field
+from ndcmesh.datagen import (PAIR_CHUNK, SIDE_TOL, TrainingSample, _triangle_columns,
+                             _unsigned_distance, augment_sample,
                              cloud_active_cells, gt_edge_data,
                              make_training_sample, mesh_to_sdf_grid,
                              occupancy_from_mesh, plane_sheet_mesh,
                              pseudo_gt_vertices, sample_csg_grid,
                              sample_point_cloud)
 from ndcmesh.errors import OpenMeshError, TooFewPoints
-from ndcmesh.grids import (GridDims, GridKind, ScalarGrid, SignGrid,
+from ndcmesh.grids import (GridDims, GridKind, ScalarGrid, SignGrid, VertexOffsetGrid,
                            signs_from_scalar, xor_flags)
 from ndcmesh.mc import mc_extract
 from ndcmesh.mesh import TriMesh, triangle_areas
+from ndcmesh.nn import K_NEIGHBORS, GridNetwork, PointNetwork, cloud_neighbors
+from ndcmesh.nn.network import BAND_WIDTH
+from ndcmesh.nn.train import supervised_outputs
 from ndcmesh.rng import rng_for
-from ndcmesh.transforms import NUM_TRANSFORMS, inverse_transform_id
+from ndcmesh.transforms import (NUM_TRANSFORMS, inverse_transform_id, transform_edge_field,
+                                transform_vertex_array, transformed_dims)
 
 
 def plane_box(normal, point, extent=2000.0):
@@ -186,31 +192,42 @@ def test_box_corners_appear_in_the_vertex_targets():
 
 
 # ---------------------------------------------------------------------------
-# masks
+# output sets: what each head predicts and is supervised on
+
+
+def grid_net(variant):
+    return GridNetwork(variant, channels=2)
+
+
+def sign_sample(dims, inside):
+    """A signed-mode sample that holds only ground-truth signs (and the
+    flags they imply); enough for the vertex head's supervised cells."""
+    signs = SignGrid(dims, inside)
+    return TrainingSample(dims, "ndc", None, None, signs, xor_flags(signs),
+                          VertexOffsetGrid(dims, np.full(dims.cell_shape + (3,), 0.5)))
 
 
 def test_sdf_masks_follow_the_distance_band():
     dims = GridDims(17, 17, 17)
     sample = make_training_sample(Sphere((8.0, 8.0, 8.0), 5.1), dims)
     band = np.abs(sample.grid.values) < BAND_WIDTH
-    assert np.array_equal(sample.masks.m_s, band)
-    assert np.array_equal(np.asarray(sample.masks.m_f.x),
-                          band[:-1] & band[1:])
-    assert np.array_equal(np.asarray(sample.masks.m_f.z),
-                          band[:, :, :-1] & band[:, :, 1:])
+    assert np.array_equal(supervised_outputs(grid_net("sdf_s"), sample), band[None])
+    # the band stays off the border planes, so every band edge is cell-owned
+    flags = cells_to_edge_field(supervised_outputs(grid_net("sdf_f"), sample), dims)
+    assert np.array_equal(np.asarray(flags.x), band[:-1] & band[1:])
+    assert np.array_equal(np.asarray(flags.z), band[:, :, :-1] & band[:, :, 1:])
 
 
 def test_sign_change_cells_are_a_subset_of_crossed_cells():
     dims = GridDims(17, 17, 17)
     sample = make_training_sample(random_scene(5, extent=16.0), dims)
-    ndc_mask = build_masks(dims, "ndc", grid=sample.grid,
-                           gt_signs=sample.gt_signs, gt_flags=sample.gt_flags)
-    undc_mask = build_masks(dims, "undc", grid=sample.grid,
-                            gt_signs=sample.gt_signs, gt_flags=sample.gt_flags)
-    assert np.all(undc_mask.m_v[ndc_mask.m_v])
+    net = grid_net("sdf_v")
+    ndc_cells = supervised_outputs(net, sample)
+    undc_cells = supervised_outputs(net, dataclasses.replace(sample, mode="undc"))
+    assert np.all(undc_cells[ndc_cells])
     # some cell has a boundary crossing without a corner sign change is
     # rare on smooth scenes, but the superset claim must hold regardless
-    assert ndc_mask.m_v.any()
+    assert ndc_cells.any()
 
 
 def test_ndc_cell_mask_matches_the_eight_corner_brute_force():
@@ -224,43 +241,18 @@ def test_ndc_cell_mask_matches_the_eight_corner_brute_force():
             corners = [inside[dx:dx + shape[0] - 1, dy:dy + shape[1] - 1, dz:dz + shape[2] - 1]
                        for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
             want = ~(np.logical_and.reduce(corners) | ~np.logical_or.reduce(corners))
-            masks = build_masks(dims, "ndc", gt_signs=SignGrid(dims, inside))
-            assert np.array_equal(masks.m_v, want)
-
-
-def test_voxel_edge_mask_marks_edges_with_four_occupied_cells():
-    dims = GridDims(7, 8, 9)
-    occ = np.zeros(dims.vertex_shape)
-    occ[:-1, :-1, :-1] = rng_for(32, "occ-mask").random(dims.cell_shape) < 0.7
-    masks = build_masks(dims, "ndc", grid=ScalarGrid(dims, GridKind.OCC, occ),
-                        gt_signs=SignGrid(dims, np.zeros(dims.vertex_shape, dtype=bool)))
-    cells = occ[:-1, :-1, :-1] > 0.5
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        want = np.zeros(dims.edge_shape(a), dtype=bool)
-        for p in np.ndindex(*want.shape):
-            if 0 < p[b] < dims.vertex_shape[b] - 1 and 0 < p[c] < dims.vertex_shape[c] - 1:
-                around = []
-                for db in (-1, 0):
-                    for dc in (-1, 0):
-                        q = list(p)
-                        q[b] += db
-                        q[c] += dc
-                        around.append(cells[tuple(q)])
-                want[p] = all(around)
-        assert np.array_equal(masks.m_f.axis(a), want)
-        assert want.any()
+            cells = supervised_outputs(grid_net("sdf_v"), sign_sample(dims, inside))
+            assert np.array_equal(cells, np.broadcast_to(want, (3,) + want.shape))
 
 
 def test_uniform_outside_field_produces_empty_masks():
     dims = GridDims(9, 9, 9)
-    vals = np.full(dims.vertex_shape, 5.0)
-    grid = ScalarGrid(dims, GridKind.SDF, vals)
-    signs = signs_from_scalar(grid)
-    masks = build_masks(dims, "ndc", grid=grid, gt_signs=signs)
-    assert not masks.m_s.any()
-    assert not masks.m_v.any()
-    assert not any(np.asarray(masks.m_f.axis(a)).any() for a in range(3))
+    grid = ScalarGrid(dims, GridKind.SDF, np.full(dims.vertex_shape, 5.0))
+    sample = dataclasses.replace(sign_sample(dims, signs_from_scalar(grid).inside), grid=grid)
+    for variant in ("sdf_s", "sdf_v", "sdf_f"):
+        net = grid_net(variant)
+        assert not net.used_outputs(grid)[0].any(), variant
+        assert not supervised_outputs(net, sample).any(), variant
 
 
 def test_voxel_masks_mark_surface_cell_corners():
@@ -268,14 +260,15 @@ def test_voxel_masks_mark_surface_cell_corners():
     occ = np.zeros(dims.vertex_shape)
     occ[3, 3, 3] = 1.0  # single occupied cell
     grid = ScalarGrid(dims, GridKind.OCC, occ)
-    inside = np.zeros(dims.vertex_shape, dtype=bool)
-    signs = SignGrid(dims, inside)
-    masks = build_masks(dims, "ndc", grid=grid, gt_signs=signs)
+    # the boundary cells are the occupied one and its 26 empty neighbours
     want = np.zeros(dims.vertex_shape, dtype=bool)
-    want[3:5, 3:5, 3:5] = True
-    assert np.array_equal(masks.m_s, want)
-    # no edge has all four surrounding cells occupied
-    assert not any(np.asarray(masks.m_f.axis(a)).any() for a in range(3))
+    want[2:6, 2:6, 2:6] = True
+    assert np.array_equal(grid_net("vox_s").used_outputs(grid)[0], want[None])
+    cells = np.zeros(dims.cell_shape, dtype=bool)
+    cells[1:6, 1:6, 1:6] = True
+    assert np.array_equal(grid_net("vox_v").used_outputs(grid)[0][0], cells)
+    flags = cells_to_edge_field(grid_net("vox_f").used_outputs(grid)[0], dims)
+    assert np.array_equal(np.asarray(flags.y), want[:, :-1] & want[:, 1:])
 
 
 def test_point_cloud_masks_cover_the_manhattan_band():
@@ -287,10 +280,10 @@ def test_point_cloud_masks_cover_the_manhattan_band():
     manhattan = np.abs(grid_idx - cell).sum(axis=1).reshape(dims.cell_shape)
     assert np.array_equal(active, manhattan <= 3)
 
-    masks = build_masks(dims, "undc", cloud=cloud,
-                        gt_flags=xor_flags(SignGrid(dims, np.zeros(dims.vertex_shape, bool))))
-    assert np.asarray(masks.m_f.x)[5, 5, 5]
-    assert not np.asarray(masks.m_f.x)[0, 0, 0]
+    # the flag head answers for every channel of the active cells
+    cloud = 5.1 + 0.8 * rng_for(33, "cell").random((K_NEIGHBORS, 3))
+    used, fill = PointNetwork("flag", channels=2).used_outputs(cloud_neighbors(cloud, dims))
+    assert np.array_equal(used, np.broadcast_to(manhattan <= 3, used.shape)) and fill == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -755,4 +748,58 @@ def test_all_96_transforms_keep_gt_consistency_and_round_trip():
         assert np.allclose(back.gt_offsets.offsets, sample.gt_offsets.offsets,
                            rtol=0.0, atol=1e-15), t
         assert edge_equal(back.gt_flags, sample.gt_flags), t
-        assert np.array_equal(back.masks.m_v, sample.masks.m_v), t
+
+
+def owned_edges(dims):
+    """The edges some cell owns, those at cells' min corners."""
+    return cells_to_edge_field(np.ones((3,) + dims.cell_shape, dtype=bool), dims)
+
+
+def supervised_edges(net, sample):
+    """A head's supervised set on its own lattice: vertices for signs,
+    cells for vertex offsets, and for flags the edges as an EdgeField."""
+    out = supervised_outputs(net, sample)
+    return cells_to_edge_field(out, sample.dims) if net.head == "flag" else out[0]
+
+
+def test_supervised_outputs_move_with_all_96_transforms():
+    """Recomputed from an augmented sample, every grid head's supervised
+    set is the transform of the original's. Flag sets are compared on the
+    edges that a cell owns in both frames: an axis flip hands the edges on
+    a far border plane, which no cell owns, to the near one."""
+    dims = GridDims(10, 11, 12)
+    scene = random_scene(61, extent=9.0)
+    for kind, variants in (("sdf", ("sdf_s", "sdf_v", "sdf_f")), ("udf", ("sdf_v", "sdf_f")),
+                           ("occ", ("vox_s", "vox_v", "vox_f"))):
+        sample = make_training_sample(scene, dims, kind)
+        nets = [grid_net(v) for v in variants]
+        assert all(supervised_outputs(net, sample).any() for net in nets), kind
+        sets = [supervised_edges(net, sample) for net in nets]
+        for t in range(NUM_TRANSFORMS):
+            moved = augment_sample(sample, t)
+            both = [np.asarray(a) & np.asarray(b) for a, b in zip(
+                transform_edge_field(owned_edges(dims), t).axes, owned_edges(moved.dims).axes)]
+            for net, before in zip(nets, sets):
+                after = supervised_edges(net, moved)
+                what = (kind, net.variant, t)
+                if net.head == "flag":
+                    want = transform_edge_field(before, t)
+                    assert all(np.array_equal(w & m, a & m) for w, a, m in
+                               zip(want.axes, after.axes, both)), what
+                else:
+                    assert np.array_equal(transform_vertex_array(before, t), after), what
+
+
+def test_point_flags_are_supervised_on_the_augmented_clouds_own_cells():
+    """The flag head of a point network is supervised on the active cells
+    of the cloud it reads, however the sample was transformed."""
+    dims = GridDims(12, 13, 14)
+    sample = make_training_sample(random_scene(62, extent=11.0), dims, "points", seed=62,
+                                  cloud_size=256)
+    net = PointNetwork("flag", channels=2)
+    for t in range(NUM_TRANSFORMS):
+        moved = augment_sample(sample, t)
+        assert moved.dims == transformed_dims(dims, t)
+        active = cloud_neighbors(moved.cloud, moved.dims).active
+        assert np.array_equal(supervised_outputs(net, moved),
+                              np.broadcast_to(active, (3,) + active.shape)), t

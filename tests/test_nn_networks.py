@@ -5,6 +5,7 @@ forward and backward and against a loss computed on logit volumes,
 reproducible training runs and divergence, set-restricted prediction
 against the dense pass, and masks off a head's lattice."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -20,7 +21,7 @@ from ndcmesh.nn import (BCE_EPS, GRID_VARIANTS, Conv3d, GridNetwork, PointNetwor
                         Sigmoid, cloud_neighbors, knn_indices, sigmoid, train_network,
                         train_step)
 from ndcmesh.nn.network import band_sets, stack_rows
-from ndcmesh.nn.train import head_loss, supervised_outputs
+from ndcmesh.nn.train import head_loss, network_input, supervised_outputs
 from ndcmesh.rng import rng_for
 
 FD_H = 1e-6
@@ -128,7 +129,7 @@ def test_training_twice_from_one_seed_saves_identical_weights(tmp_path, variant,
 def test_a_diverging_run_raises_training_diverged():
     dims = GridDims(13, 13, 13)
     samples = [make_training_sample(random_scene(45, 12.0), dims, "sdf", seed=45)]
-    assert samples[0].masks.m_v.any()
+    assert supervised_outputs(GridNetwork("sdf_v", channels=4), samples[0]).any()
     config = TrainConfig("sdf_v", channels=4, lr=float("inf"), epochs=3, seed=45)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
         train_network(config, samples)
@@ -180,11 +181,11 @@ def dense_training_step(net, sample):
     densely over the whole grid, parameters in params() order. The loss
     reads the dense logits at the supervised outputs."""
     net.zero_grad()
-    out = supervised_outputs(net, sample)
+    used = supervised_outputs(net, sample)
 
     def loss_and_gradient(logits):
-        at = on_output_grid(out, logits.shape[1:])
-        loss, grows = head_loss(net, sample, logits[:, at], out)
+        at = on_output_grid(used.any(axis=0), logits.shape[1:])
+        loss, grows = head_loss(net, sample, logits[:, at], used)
         glogits = np.zeros_like(logits)
         glogits[:, at] = grows
         return loss, glogits
@@ -277,21 +278,21 @@ def masked_bce_reference(logits, labels, mask):
     return float(per[mask].sum() / count), grad.astype(logits.dtype)
 
 
-def volume_head_loss(net, sample, logits):
+def volume_head_loss(net, sample, logits, used):
     """(loss, gradient) of net's head at logits over its whole output
-    grid, whose cell heads read the (3, *cell_shape) corner."""
+    grid, whose cell heads read the (3, *cell_shape) corner, supervised
+    at the outputs `used` (supervised_outputs)."""
     m, n, k = sample.dims.cell_shape
     cells = logits[:, :m, :n, :k]
     if net.head == "sign":
-        loss, g = masked_bce_reference(logits[0], sample.gt_signs.inside, sample.masks.m_s)
+        loss, g = masked_bce_reference(logits[0], sample.gt_signs.inside, used[0])
         return loss, g[None]
     if net.head == "flag":
-        loss, g = masked_bce_reference(cells, edge_field_to_cells(sample.gt_flags),
-                                       edge_field_to_cells(sample.masks.m_f))
+        loss, g = masked_bce_reference(cells, edge_field_to_cells(sample.gt_flags), used)
     else:
         act = Sigmoid()
         pred = np.moveaxis(act.forward(cells), 0, -1)
-        loss, gp = masked_mse_reference(pred, sample.gt_offsets.offsets, sample.masks.m_v)
+        loss, gp = masked_mse_reference(pred, sample.gt_offsets.offsets, used[0])
         g = act.backward(np.moveaxis(gp, -1, 0)).astype(logits.dtype)
     full = np.zeros_like(logits)
     full[:, :m, :n, :k] = g
@@ -304,7 +305,8 @@ def volume_training_step(net, sample):
     over the network's output grid, and the loss's gradient is gathered
     back at the rows."""
     net.zero_grad()
-    out = supervised_outputs(net, sample)
+    used = supervised_outputs(net, sample)
+    out = used.any(axis=0)
     if net.variant == "pc_encoder":
         at = out
         rows = net.forward_rows(sample.cloud, sample.dims, out)
@@ -314,7 +316,7 @@ def volume_training_step(net, sample):
         rows = net.forward_rows(x, out)
     logits = np.zeros((net.out_channels,) + at.shape, dtype=rows.dtype)
     logits[:, at] = rows
-    loss, glogits = volume_head_loss(net, sample, logits)
+    loss, glogits = volume_head_loss(net, sample, logits, used)
     net.backward_rows(glogits[:, at])
     return loss, [p.grad.copy() for p in net.params()]
 
@@ -336,6 +338,45 @@ def test_training_steps_on_rows_equal_a_loss_on_logit_volumes():
                 assert loss == want_loss, what
             for got, want in zip(capture.grads, want_grads, strict=True):
                 assert same_bits(got, want), what
+
+
+# ------------------------------------------------------------- output sets
+
+
+ORACLE_CASES = [("sdf", v) for v in ("sdf_s", "sdf_v", "sdf_f")]
+ORACLE_CASES += [("udf", v) for v in ("sdf_v", "sdf_f")]
+ORACLE_CASES += [("occ", v) for v in ("vox_s", "vox_v", "vox_f")]
+ORACLE_CASES += [("points", "flag"), pytest.param(
+    "points", "vertex", marks=pytest.mark.xfail(strict=True, reason=(
+        "pc_v is supervised at ground-truth vertex cells that a clustered CSG "
+        "cloud leaves outside its active set, where predict fills 0.5")))]
+
+
+@functools.cache
+def oracle_sample(kind, res, seed):
+    return make_training_sample(random_scene(seed, res - 1.0), GridDims(res, res, res), kind,
+                                seed=seed, cloud_size=512)
+
+
+@pytest.mark.parametrize("kind,variant", ORACLE_CASES)
+def test_supervised_outputs_lie_within_the_outputs_predict_computes(kind, variant):
+    """Training reads no output that predict fills. For grid inputs,
+    every cell-owned ground-truth crossing lies within the flag set, and
+    every ground-truth vertex cell within the vertex set."""
+    for res, seeds in ((13, range(55, 61)), (24, range(55, 58))):
+        for seed in seeds:
+            sample = oracle_sample(kind, res, seed)
+            if kind == "points":
+                net = PointNetwork(variant, channels=2)
+            else:
+                net = GridNetwork(variant, channels=2)
+            inp = network_input(net, sample)
+            used = net.used_outputs(inp)[0]
+            supervised = supervised_outputs(net, sample, inp)
+            what = (res, seed)
+            assert supervised.any() and not np.any(supervised & ~used), what
+            if net.head == "flag" and kind != "points":
+                assert not np.any(edge_field_to_cells(sample.gt_flags) & ~used), what
 
 
 # ---------------------------------------------------------------- prediction
@@ -380,14 +421,15 @@ def expected_grid_output(net, grid, probs):
     the supervision band S and filled elsewhere."""
     v = grid.values
     if grid.kind is GridKind.OCC:
+        # the corners of cells with an in-grid neighbour of the other occupancy
         occ = v[:-1, :-1, :-1] > 0.5
-        surface = occ.copy()
-        for ix in np.argwhere(occ):
-            lo, hi = np.maximum(ix - 1, 0), ix + 2
+        boundary = np.zeros_like(occ)
+        for ix in np.ndindex(*occ.shape):
+            lo, hi = np.maximum(np.array(ix) - 1, 0), np.array(ix) + 2
             window = occ[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
-            surface[tuple(ix)] = window.size < 27 or not window.all()
+            boundary[ix] = window.any() and not window.all()
         band = np.zeros(v.shape, dtype=bool)
-        for ix in np.argwhere(surface):
+        for ix in np.argwhere(boundary):
             band[ix[0]:ix[0] + 2, ix[1]:ix[1] + 2, ix[2]:ix[2] + 2] = True
         own = v > 0.5
     else:
