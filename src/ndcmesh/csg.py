@@ -3,6 +3,11 @@
 Primitives carry exact signed distances; the boolean combiners use the
 usual min/max bounds, which keeps the zero set correct even where the
 interior distances go inexact. Points are (..., 3) arrays in cell units.
+
+Primitives work per coordinate (np.sqrt(x * x + y * y + z * z), nested
+np.maximum), not by reducing a trailing axis of length 2 or 3, whose
+set-up and copies cost more than its arithmetic. numpy adds such an axis
+left to right, as the sum does, and max is exact, so no bit changes.
 """
 
 from __future__ import annotations
@@ -12,6 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import rng_for
+
+
+def _coords(p: np.ndarray):
+    return p[..., 0], p[..., 1], p[..., 2]
 
 
 class CsgShape:
@@ -28,7 +37,8 @@ class Sphere(CsgShape):
     radius: float
 
     def evaluate(self, p):
-        return np.linalg.norm(p - np.asarray(self.center), axis=-1) - self.radius
+        x, y, z = _coords(p - np.asarray(self.center))
+        return np.sqrt(x * x + y * y + z * z) - self.radius
 
 
 @dataclass(frozen=True)
@@ -40,10 +50,10 @@ class Box(CsgShape):
     def evaluate(self, p):
         r = np.asarray(self.rotation, dtype=np.float64)
         local = (p - np.asarray(self.center)) @ r  # R^T (p - c)
-        q = np.abs(local) - np.asarray(self.half_extents)
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
-        inside = np.minimum(q.max(axis=-1), 0.0)
-        return outside + inside
+        qx, qy, qz = (np.abs(c) - h for c, h in zip(_coords(local), self.half_extents))
+        ox, oy, oz = np.maximum(qx, 0.0), np.maximum(qy, 0.0), np.maximum(qz, 0.0)
+        inside = np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
+        return np.sqrt(ox * ox + oy * oy + oz * oz) + inside
 
 
 @dataclass(frozen=True)
@@ -60,11 +70,11 @@ class Cylinder(CsgShape):
         a = a / np.linalg.norm(a)
         rel = p - np.asarray(self.center)
         z = rel @ a
-        radial = np.linalg.norm(rel - z[..., None] * a, axis=-1)
-        d = np.stack([radial - self.radius, np.abs(z) - self.half_height], axis=-1)
-        outside = np.linalg.norm(np.maximum(d, 0.0), axis=-1)
-        inside = np.minimum(d.max(axis=-1), 0.0)
-        return outside + inside
+        x, y, w = (c - z * ac for c, ac in zip(_coords(rel), a))
+        dr = np.sqrt(x * x + y * y + w * w) - self.radius
+        dz = np.abs(z) - self.half_height
+        outr, outz = np.maximum(dr, 0.0), np.maximum(dz, 0.0)
+        return np.sqrt(outr * outr + outz * outz) + np.minimum(np.maximum(dr, dz), 0.0)
 
 
 @dataclass(frozen=True)

@@ -534,8 +534,8 @@ def sample_point_cloud(
     """Surface samples in grid units, optionally with Gaussian noise.
 
     Meshes are sampled area-weighted with uniform barycentrics; CSG
-    surfaces by projecting box-uniform candidates along the field
-    gradient. Deterministic for a given seed.
+    surfaces by Newton steps from box-uniform candidates along the field
+    gradient, until a step leaves them in place. Deterministic per seed.
     """
     rng = rng_for(seed, "point-cloud")
     if isinstance(source, TriMesh):
@@ -567,17 +567,31 @@ def _project_csg_samples(shape: CsgShape, count: int, rng: np.random.Generator) 
 
 def _project_box_samples(shape: CsgShape, count: int, rng: np.random.Generator,
                          lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """At least `count` surface points, projected from box-uniform candidates."""
+    """At least `count` surface points, projected from box-uniform candidates
+    by 30 Newton steps. A step is a function of the position alone, so one
+    that leaves a candidate bitwise in place is a fixed point: only the
+    candidates the last step moved take the next, with the same result."""
     out = []
     have = 0
     for _ in range(64):
         cand = rng.uniform(lo, hi, size=(4 * count, 3))
+        moving = np.arange(len(cand))
         for _ in range(30):
-            f = shape(cand)
-            g = csg_gradient(shape, cand)
+            x = cand[moving]
+            f = shape(x)
+            g = csg_gradient(shape, x)
             gg = np.einsum("nd,nd->n", g, g)
             step = f / np.where(gg > 1e-12, gg, 1.0)
-            cand = cand - step[:, None] * g
+            x_next = x - step[:, None] * g
+            cand[moving] = x_next
+            moved = (x_next.view(np.int64) != x.view(np.int64)).any(axis=1)
+            # one row alone would take numpy's vector dot in a Cylinder's
+            # `rel @ a`, which rounds unlike a batch: keep a settled row
+            if np.count_nonzero(moved) == 1:
+                moved[np.argmin(moved)] = True
+            moving = moving[moved]
+            if not len(moving):
+                break
         f = np.abs(shape(cand))
         good = cand[f < 1e-9]
         if len(good):
@@ -592,22 +606,6 @@ def _project_box_samples(shape: CsgShape, count: int, rng: np.random.Generator,
 
 # ---------------------------------------------------------------------------
 # sample assembly and augmentation
-
-
-def plane_sheet_mesh(dims: GridDims, axis: int = 2, coord: float = None) -> TriMesh:
-    """An open rectangular sheet spanning the full grid cross-section."""
-    sizes = dims.vertex_shape
-    if coord is None:
-        coord = 0.5 * (sizes[axis] - 1)
-    b, c = (axis + 1) % 3, (axis + 2) % 3
-    corners2d = [(0.0, 0.0), (sizes[b] - 1.0, 0.0), (sizes[b] - 1.0, sizes[c] - 1.0), (0.0, sizes[c] - 1.0)]
-    verts = np.zeros((4, 3))
-    for i, (pb, pc) in enumerate(corners2d):
-        verts[i, axis] = coord
-        verts[i, b] = pb
-        verts[i, c] = pc
-    tris = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
-    return TriMesh(verts, tris)
 
 
 def assemble_sample(

@@ -139,10 +139,3 @@ def sample_triangles(mesh: TriMesh, count: int, rng: np.random.Generator):
     points = tv[:, 0] + u[:, None] * (tv[:, 1] - tv[:, 0]) + v[:, None] * (tv[:, 2] - tv[:, 0])
     return faces, points
 
-
-def quad_areas(vertices: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """Planar-quad area via the two triangles of one diagonal."""
-    a, b, c, d = (vertices[quads[:, i]] for i in range(4))
-    t0 = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-    t1 = 0.5 * np.linalg.norm(np.cross(c - a, d - a), axis=1)
-    return t0 + t1

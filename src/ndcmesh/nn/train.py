@@ -85,9 +85,11 @@ def head_loss(net, sample: TrainingSample, rows: np.ndarray, used: np.ndarray):
     return loss, act.backward(gp.T).astype(rows.dtype)
 
 
-def train_step(net, sample: TrainingSample, adam: Adam) -> float:
-    """One forward/backward/update on a single sample; returns the loss."""
-    inp = network_input(net, sample)
+def train_step(net, sample: TrainingSample, adam: Adam, inp=None) -> float:
+    """One forward/backward/update on a single sample; returns the loss.
+    `inp` is network_input of the sample, built here if not given."""
+    if inp is None:
+        inp = network_input(net, sample)
     used = supervised_outputs(net, sample, inp)
     out = used.any(axis=0)
     if net.variant == "pc_encoder":
@@ -113,6 +115,8 @@ def train_network(config: TrainConfig, samples: list):
                        seed=rng_for(config.seed, "init").integers(2 ** 31),
                        head=config.head)
     adam = Adam(net.params(), lr=config.lr)
+    # an unaugmented sample's input (a cloud's neighborhoods) is built once
+    inputs = [None if config.augment else network_input(net, s) for s in samples]
     history = []
     for epoch in range(config.epochs):
         if config.halve_every:
@@ -128,7 +132,7 @@ def train_network(config: TrainConfig, samples: list):
                 t = int(rng_for(config.seed, "augment", epoch, int(i))
                         .integers(NUM_TRANSFORMS))
                 sample = augment_sample(sample, t)
-            loss = train_step(net, sample, adam)
+            loss = train_step(net, sample, adam, inputs[int(i)])
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"loss {loss} at epoch {epoch}, sample {int(i)}")

@@ -85,12 +85,6 @@ def transformed_dims(dims: GridDims, transform_id: int) -> GridDims:
     return GridDims(*(sizes[perm[j]] for j in range(3)))
 
 
-def transform_vertex_array(arr: np.ndarray, transform_id: int) -> np.ndarray:
-    """Per-vertex scalar or bool data (also works on the cell lattice)."""
-    perm, flips, _ = spatial_parts(transform_id)
-    return _apply_spatial(arr, perm, flips)
-
-
 def transform_offsets(grid: VertexOffsetGrid, transform_id: int) -> VertexOffsetGrid:
     perm, flips, _ = spatial_parts(transform_id)
     arr = np.transpose(grid.offsets, perm + (3,))

@@ -1,4 +1,7 @@
-"""Analytic primitives, boolean composition, gradients, random scenes."""
+"""Analytic primitives, boolean composition, gradients, random scenes,
+and the per-coordinate fields against their reduction formulas."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -106,3 +109,90 @@ def test_random_scenes_are_seeded_and_stay_inside_the_margin():
         assert vals.min() < 0
         border = np.abs(lattice - 16.0).max(axis=1) == 16.0
         assert np.all(vals[border] > 0)
+
+
+# ------------------------------------------- per-coordinate fields vs reductions
+
+
+def reference_field(shape, p):
+    """A scene's field with every primitive written as reductions over the
+    trailing coordinate axis (np.linalg.norm, np.stack, .max), the
+    formulas the per-coordinate primitives replace bit for bit."""
+    if isinstance(shape, Sphere):
+        return np.linalg.norm(p - np.asarray(shape.center), axis=-1) - shape.radius
+    if isinstance(shape, Box):
+        local = (p - np.asarray(shape.center)) @ np.asarray(shape.rotation, dtype=np.float64)
+        q = np.abs(local) - np.asarray(shape.half_extents)
+        return (np.linalg.norm(np.maximum(q, 0.0), axis=-1)
+                + np.minimum(q.max(axis=-1), 0.0))
+    if isinstance(shape, Cylinder):
+        a = np.asarray(shape.axis, dtype=np.float64)
+        a = a / np.linalg.norm(a)
+        rel = p - np.asarray(shape.center)
+        z = rel @ a
+        radial = np.linalg.norm(rel - z[..., None] * a, axis=-1)
+        d = np.stack([radial - shape.radius, np.abs(z) - shape.half_height], axis=-1)
+        return np.linalg.norm(np.maximum(d, 0.0), axis=-1) + np.minimum(d.max(axis=-1), 0.0)
+    a, b = reference_field(shape.a, p), reference_field(shape.b, p)
+    if isinstance(shape, Union):
+        return np.minimum(a, b)
+    if isinstance(shape, Intersect):
+        return np.maximum(a, b)
+    return np.maximum(a, -b)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def feature_points(rng):
+    """Primitives with points exactly on their features, plus uniform ones.
+
+    The axis-aligned box and cylinder put points exactly on faces, edges,
+    corners, the axis and the rims; the rotated box and oblique cylinder
+    put them there up to the rounding of the rotation."""
+    rot = random_rotation(rng)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    half = np.array([1.5, 1.0, 0.5])
+    prims = [Sphere((0.25, -0.5, 1.0), 1.25),
+             Box((0.0, 0.0, 0.0), tuple(half)),
+             Box((0.5, -0.25, 0.75), tuple(half), tuple(map(tuple, rot))),
+             Cylinder((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1.0, 2.0),
+             Cylinder((-0.5, 0.5, 0.25), tuple(axis), 0.75, 1.25)]
+    signs = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
+    box_local = signs * half  # center, face centers, edge midpoints, corners
+    pts = [box_local, box_local * 1.5, np.asarray(prims[2].center) + box_local @ rot.T,
+           np.asarray(prims[0].center) + signs * 1.25, np.asarray(prims[0].center)[None]]
+    for c in prims[3:]:
+        a = np.asarray(c.axis) / np.linalg.norm(c.axis)
+        ortho = np.cross(a, [1.0, 0.0, 0.0] if abs(a[0]) < 0.9 else [0.0, 1.0, 0.0])
+        ortho /= np.linalg.norm(ortho)
+        for t in (-2.5, -c.half_height, -0.3, 0.0, c.half_height, 2.5):
+            for r in (0.0, 0.5 * c.radius, c.radius, 2.0 * c.radius):
+                pts.append(np.asarray(c.center) + t * a + r * ortho)
+    pts = np.vstack([np.reshape(p, (-1, 3)) for p in pts])
+    return prims, np.vstack([pts, rng.uniform(-3.0, 3.0, size=(120 - len(pts) % 30, 3))])
+
+
+def test_primitives_equal_their_reduction_formulas_bit_for_bit():
+    rng = rng_for(14, "csg-oracle")
+    prims, pts = feature_points(rng)
+    sphere, box, rotated, cylinder, oblique = prims
+    shapes = prims + [Union(rotated, oblique), Subtract(Union(box, cylinder), sphere),
+                      Subtract(rotated, Union(oblique, sphere)), Intersect(sphere, rotated)]
+    for shape in shapes:
+        for p in (pts, pts.reshape(-1, 5, 6, 3)):
+            assert same_bits(shape(p), reference_field(shape, p)), (shape, p.shape)
+    # the points on the features did reach them
+    assert np.count_nonzero(box(pts) == 0.0) >= 26 and np.count_nonzero(cylinder(pts) == 0.0) >= 4
+
+
+def test_random_scenes_equal_their_reduction_formulas_bit_for_bit():
+    for seed in range(1, 13):
+        scene = random_scene(seed, 23.0)
+        p = rng_for(seed, "scene-oracle").uniform(-1.0, 24.0, size=(6, 7, 8, 3))
+        lattice = np.stack(np.meshgrid(*[np.arange(24.0)] * 3, indexing="ij"), axis=-1)
+        for q in (p, p.reshape(-1, 3), lattice):
+            assert same_bits(scene(q), reference_field(scene, q)), seed

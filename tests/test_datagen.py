@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import ndcmesh.datagen as datagen
-from ndcmesh.csg import Box, Sphere, random_scene
+from ndcmesh.csg import (Box, CsgShape, Cylinder, Sphere, Subtract, Union, csg_gradient,
+                         random_rotation, random_scene)
 from ndcmesh._dual import cells_to_edge_field
 from ndcmesh.datagen import (PAIR_CHUNK, SIDE_TOL, TrainingSample, _triangle_columns,
                              _unsigned_distance, augment_sample,
                              cloud_active_cells, gt_edge_data,
                              make_training_sample, mesh_to_sdf_grid,
-                             occupancy_from_mesh, plane_sheet_mesh,
+                             occupancy_from_mesh,
                              pseudo_gt_vertices, sample_csg_grid,
                              sample_point_cloud)
 from ndcmesh.errors import OpenMeshError, TooFewPoints
@@ -26,7 +27,9 @@ from ndcmesh.nn.network import BAND_WIDTH
 from ndcmesh.nn.train import supervised_outputs
 from ndcmesh.rng import rng_for
 from ndcmesh.transforms import (NUM_TRANSFORMS, inverse_transform_id, transform_edge_field,
-                                transform_vertex_array, transformed_dims)
+                                transformed_dims)
+
+from helpers import plane_sheet_mesh, transform_vertex_array
 
 
 def plane_box(normal, point, extent=2000.0):
@@ -636,6 +639,67 @@ def test_csg_cloud_points_lie_on_the_surface():
     cloud = sample_point_cloud(sphere, 400, seed=7)
     radii = np.linalg.norm(cloud - 8.0, axis=1)
     assert np.abs(radii - 5.1).max() < 1e-6
+
+
+def reference_project_box_samples(shape, count, rng, lo, hi):
+    """_project_box_samples with all 30 Newton steps for every candidate."""
+    out = []
+    have = 0
+    for _ in range(64):
+        cand = rng.uniform(lo, hi, size=(4 * count, 3))
+        for _ in range(30):
+            f = shape(cand)
+            g = csg_gradient(shape, cand)
+            gg = np.einsum("nd,nd->n", g, g)
+            step = f / np.where(gg > 1e-12, gg, 1.0)
+            cand = cand - step[:, None] * g
+        f = np.abs(shape(cand))
+        good = cand[f < 1e-9]
+        if len(good):
+            out.append(good)
+            have += len(good)
+        if have >= count:
+            break
+    if have < count:
+        raise TooFewPoints(f"projection found only {have} of {count} surface points")
+    return np.concatenate(out)
+
+
+class RowsSeen(CsgShape):
+    """A field that records how many points each call evaluates."""
+
+    def __init__(self, inner):
+        self.inner, self.rows = inner, []
+
+    def evaluate(self, p):
+        self.rows.append(len(p))
+        return self.inner.evaluate(p)
+
+
+def test_csg_clouds_equal_thirty_newton_steps_for_every_candidate(monkeypatch):
+    rot = tuple(map(tuple, random_rotation(rng_for(15, "cloud-oracle"))))
+    carved = Subtract(Union(Box((7.0, 6.5, 7.5), (2.5, 1.5, 2.0), rot),
+                            Cylinder((8.0, 8.5, 6.0), (1.0, 2.0, -0.5), 1.5, 3.0)),
+                      Sphere((9.0, 7.0, 9.0), 1.75))
+    # scenes with rotated boxes and oblique cylinders; the rng stream goes
+    # on to the noise, so a noisy cloud also shows the draws unchanged
+    cases = [(carved, 64, 0.0, 3), (carved, 256, 0.3, 4), (random_scene(1, 15.0), 64, 0.0, 1),
+             (random_scene(6, 15.0), 128, 0.2, 6), (random_scene(11, 19.0), 256, 0.0, 11),
+             (random_scene(27, 11.0), 1024, 0.1, 27),
+             # the last moving candidate is alone for a step; evaluated on
+             # its own, it would settle elsewhere
+             (random_scene(171, 13.0), 16, 0.0, 171), (random_scene(599, 9.0), 8, 0.0, 599)]
+    rows = []
+    for scene, count, sigma, seed in cases:
+        seen = RowsSeen(scene)
+        got = sample_point_cloud(seen, count, sigma, seed)
+        rows += seen.rows
+        with monkeypatch.context() as m:
+            m.setattr(datagen, "_project_box_samples", reference_project_box_samples)
+            want = sample_point_cloud(scene, count, sigma, seed)
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a one-row batch would take numpy's vector dot in a Cylinder
+    assert min(rows) >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ import pytest
 from ndcmesh.errors import NonFiniteValues, ShapeError
 from ndcmesh.grids import EdgeField, GridDims, SignGrid, VertexOffsetGrid
 from ndcmesh.mesh import (QuadMesh, TriMesh, edge_topology_stats, mesh_edges,
-                          quad_areas, split_quads, triangle_areas)
+                          split_quads, triangle_areas)
 from ndcmesh.ndc import ndc_extract, undc_extract
+
+from helpers import quad_areas
 
 
 def single_quad() -> QuadMesh:

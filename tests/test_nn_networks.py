@@ -2,7 +2,8 @@
 finite differences, its invariance to point order, neighbor queries
 against a brute-force order, band-sparse training steps against a dense
 forward and backward and against a loss computed on logit volumes,
-reproducible training runs and divergence, set-restricted prediction
+reproducible training runs and divergence, one neighborhood build per
+unaugmented point sample, set-restricted prediction
 against the dense pass, and masks off a head's lattice."""
 
 import functools
@@ -11,15 +12,16 @@ import itertools
 import numpy as np
 import pytest
 
+import ndcmesh.nn.train as train_module
 from ndcmesh._dual import edge_field_to_cells
 from ndcmesh.csg import random_scene
 from ndcmesh.datagen import cloud_active_cells, make_training_sample, sample_point_cloud
 from ndcmesh.errors import NonFiniteValues, ShapeError, TrainingDiverged
 from ndcmesh.fileio import save_weights
 from ndcmesh.grids import GridDims, GridKind, ScalarGrid
-from ndcmesh.nn import (BCE_EPS, GRID_VARIANTS, Conv3d, GridNetwork, PointNetwork, TrainConfig,
-                        Sigmoid, cloud_neighbors, knn_indices, sigmoid, train_network,
-                        train_step)
+from ndcmesh.nn import (BCE_EPS, GRID_VARIANTS, Adam, Conv3d, GridNetwork, PointNetwork,
+                        TrainConfig, Sigmoid, cloud_neighbors, knn_indices, make_network,
+                        sigmoid, train_network, train_step)
 from ndcmesh.nn.network import band_sets, stack_rows
 from ndcmesh.nn.train import head_loss, network_input, supervised_outputs
 from ndcmesh.rng import rng_for
@@ -124,6 +126,27 @@ def test_training_twice_from_one_seed_saves_identical_weights(tmp_path, variant,
     first, h1 = _weights_bytes(tmp_path, config, samples, "a.ndcw")
     second, h2 = _weights_bytes(tmp_path, config, samples, "b.ndcw")
     assert first == second and h1 == h2 and len(h1) == 2
+
+
+def test_unaugmented_training_builds_each_clouds_neighborhoods_once(tmp_path, monkeypatch):
+    dims = GridDims(13, 13, 13)
+    sample = make_training_sample(random_scene(46, 12.0), dims, "points", seed=46, cloud_size=256)
+    config = TrainConfig("pc_encoder", head="vertex", channels=4, lr=1e-3, epochs=6,
+                         halve_every=0, seed=46)
+    calls = []
+    build = train_module.cloud_neighbors
+    monkeypatch.setattr(train_module, "cloud_neighbors",
+                        lambda *args: calls.append(1) or build(*args))
+    got, history = _weights_bytes(tmp_path, config, [sample], "once.ndcw")
+    assert len(calls) == 1 and len(history) == 6
+    # the reference builds the neighborhoods in every step
+    net = make_network("pc_encoder", channels=4, head="vertex",
+                       seed=rng_for(46, "init").integers(2 ** 31))
+    adam = Adam(net.params(), lr=1e-3)
+    want = [train_step(net, sample, adam) for _ in range(6)]
+    save_weights(tmp_path / "each.ndcw", net)
+    assert len(calls) == 7 and want == history
+    assert (tmp_path / "each.ndcw").read_bytes() == got
 
 
 def test_a_diverging_run_raises_training_diverged():

@@ -11,7 +11,9 @@ from ndcmesh.transforms import (NUM_SPATIAL, NUM_TRANSFORMS, compose_spatial,
                                 spatial_parts, transform_edge_field,
                                 transform_offsets, transform_points,
                                 transform_scalar_grid, transform_sign_grid,
-                                transform_vertex_array, transformed_dims)
+                                transformed_dims)
+
+from helpers import transform_vertex_array
 
 DIMS = GridDims(4, 5, 6)  # distinct sizes so axis mixups change shapes
 
