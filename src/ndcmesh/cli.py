@@ -18,6 +18,11 @@ option's range), 2 data error (bad files, missing inputs, diverged
 training). All randomness flows from a single --seed per subcommand;
 sub-seeds are derived with the library mixing function, so reruns with
 the same arguments produce byte-identical artifacts.
+
+scipy is imported only where a k-d tree is built: point-cloud
+neighborhoods (train, infer and mesh on point clouds), mesh ground
+truth (gen --obj) and eval. `import ndcmesh` and every other command,
+gen from CSG included, run on numpy alone.
 """
 
 from __future__ import annotations

@@ -12,11 +12,9 @@ sample needs only its fields transformed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .csg import CsgShape, csg_gradient
 from .dc import qef_cell_offsets
@@ -28,12 +26,16 @@ from .grids import (
     ScalarGrid,
     SignGrid,
     VertexOffsetGrid,
+    dilate_cross,
     edge_ends,
     signs_from_scalar,
     unit_normals,
 )
 from .mesh import TriMesh, edge_topology_stats, sample_triangles
 from .rng import rng_for
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 ACTIVE_MANHATTAN = 3  # cell units: active band around a point cloud
 PROBE_DOUBLINGS = 4  # CSG clouds: times the surface probe box may double
@@ -383,6 +385,7 @@ def _unsigned_distance(mesh: TriMesh, dims: GridDims, chunk: int = PAIR_CHUNK) -
     centroid = corners.mean(axis=1)
     spoke = corners - centroid[:, None]
     radius = np.sqrt(np.einsum("tcd,tcd->tc", spoke, spoke).max(axis=1))
+    from scipy.spatial import cKDTree
     tree = cKDTree(centroid)
 
     index = _lattice_blocks(dims, CULL_BLOCK)  # (blocks, CULL_BLOCK^3, 3)
@@ -433,6 +436,7 @@ def _ball_pairs(tree: cKDTree, center: np.ndarray, reach: np.ndarray, budget: in
     counts its pairs beforehand; a ball may list a point slightly beyond
     its own reach.
     """
+    from scipy.spatial import cKDTree
     level = np.ceil(reach / REACH_STEP) * REACH_STEP
     for r in np.unique(level):
         balls = np.flatnonzero(level == r)
@@ -520,9 +524,7 @@ def cloud_active_cells(cloud: np.ndarray, dims: GridDims, reach: int = ACTIVE_MA
     cells = np.floor(cloud).astype(np.int64)
     cells = np.clip(cells, 0, np.asarray(dims.cell_shape) - 1)
     occ[cells[:, 0], cells[:, 1], cells[:, 2]] = True
-    if reach > 0:
-        occ = ndimage.binary_dilation(occ, iterations=reach)
-    return occ
+    return dilate_cross(occ, reach)
 
 
 def sample_point_cloud(

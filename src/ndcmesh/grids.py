@@ -191,6 +191,32 @@ def edge_ends(arr: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return arr[tuple(lo)], arr[tuple(hi)]
 
 
+def _or_axis_neighbors(src: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """out |= src at the in-grid neighbors -1 and +1 along `axis`."""
+    src_lo, src_hi = edge_ends(src, axis)
+    out_lo, out_hi = edge_ends(out, axis)
+    out_hi |= src_lo
+    out_lo |= src_hi
+
+
+def box_any(mask: np.ndarray) -> np.ndarray:
+    """True where the 3x3x3 box around a voxel holds a true in-grid voxel;
+    one pass per axis, since the box is separable."""
+    for axis in range(3):
+        src, mask = mask, mask.copy()
+        _or_axis_neighbors(src, axis, mask)
+    return mask
+
+
+def dilate_cross(mask: np.ndarray, steps: int) -> np.ndarray:
+    """`steps` dilations by the 6-neighbor cross; outside the grid is false."""
+    for _ in range(steps):
+        src, mask = mask, mask.copy()
+        for axis in range(3):
+            _or_axis_neighbors(src, axis, mask)
+    return mask
+
+
 def xor_flags(signs: SignGrid) -> EdgeField:
     """Edge crossing flags: true exactly where the two endpoint signs differ."""
     return EdgeField(signs.dims, *(np.not_equal(*edge_ends(signs.inside, a)) for a in range(3)))

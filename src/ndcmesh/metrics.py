@@ -17,7 +17,6 @@ is reported as inf and edge F1 as 0.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyMesh
 from .mesh import (EdgeTopologyStats, TriMesh, edge_topology_stats,
@@ -54,6 +53,7 @@ def sample_surface(mesh: TriMesh, count: int, seed: int = 0) -> SampledSurface:
 
 def _nn(a: np.ndarray, b: np.ndarray):
     """Nearest neighbor in b for each point of a: (distances, indices)."""
+    from scipy.spatial import cKDTree
     return cKDTree(b).query(a)
 
 
@@ -90,6 +90,7 @@ def edge_sample_mask(s: SampledSurface, radius: float,
     """True where some other sample within radius disagrees in normal
     direction by more than angle_deg (unoriented)."""
     cos_thresh = np.cos(np.radians(angle_deg))
+    from scipy.spatial import cKDTree
     tree = cKDTree(s.points)
     pairs = tree.query_pairs(radius, output_type="ndarray")
     mask = np.zeros(len(s), dtype=bool)

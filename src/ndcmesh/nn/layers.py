@@ -5,7 +5,11 @@ on (C, N) rows of a voxel set; linear layers act on (..., features)
 arrays. Each layer caches what its backward pass needs, so forward must
 be called before backward and a layer instance processes one input at a
 time. A convolution trains on voxel sets only: forward_rows caches for
-backward_rows, and the dense forward caches nothing. Parameter gradients
+backward_rows, and the dense forward caches nothing. Inside `inference()`
+no layer caches anything, and each forward drops what an earlier one
+cached, so a prediction holds no rows for a backward pass that never
+comes. The switch is a context variable, so it holds for the thread or
+task that set it and ends with its block. Parameter gradients
 accumulate into Param.grad until zero_grad(), which lets a shared
 module sum contributions from several forward passes.
 
@@ -14,6 +18,8 @@ slope; biases start at zero. Arrays keep whatever dtype the layer was
 built with (float32 for training, float64 for gradient checking).
 """
 
+import contextlib
+import contextvars
 import itertools
 import math
 
@@ -32,6 +38,24 @@ LEAKY_SLOPE = 0.01
 # shape makes every voxel's value independent of the voxels it is
 # computed with, which lets Conv3d.forward_rows reproduce forward.
 MIX_BLOCK = 512
+
+_CACHING = contextvars.ContextVar("caching", default=True)
+
+
+@contextlib.contextmanager
+def inference():
+    """Run forward passes that cache nothing for a backward pass."""
+    token = _CACHING.set(False)
+    try:
+        yield
+    finally:
+        _CACHING.reset(token)
+
+
+def _cached(value):
+    """What a forward pass keeps for its backward: value, or None
+    inside inference()."""
+    return value if _CACHING.get() else None
 
 
 class Param:
@@ -155,8 +179,10 @@ class Conv3d(Layer):
             raise ShapeError(f"conv input must be ({self.in_channels}, {shape}), got {x.shape}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """The output at every voxel (nothing is cached)."""
+        """The output at every voxel. There is no dense backward, so it
+        caches nothing and drops what a forward_rows cached."""
         self._check_channels(x, 4, "D, H, W")
+        self._rows = None
         p = self.kernel // 2
         xp = np.pad(x, [(0, 0)] + [(p, p)] * 3) if p else x
         cols = (xp[win].reshape(self.in_channels, -1) for _, win in self._windows(*x.shape[1:]))
@@ -176,10 +202,10 @@ class Conv3d(Layer):
         if (nb is None) != (self.kernel == 1):
             raise ValueError("a neighbor table is needed for, and only for, kernel 3")
         if nb is None:
-            self._rows = x, None
+            self._rows = _cached((x, None))
             return self._mix([x], x.shape[1])
         padded = np.concatenate([x, np.zeros_like(x[:, :1])], axis=1)
-        self._rows = padded, nb
+        self._rows = _cached((padded, nb))
         return self._mix((padded.take(rows, axis=1) for rows in nb.T), len(nb))
 
     def backward_rows(self, gy: np.ndarray) -> np.ndarray:
@@ -223,7 +249,7 @@ class Linear(Layer):
         if x.shape[-1] != self.in_features:
             raise ShapeError(
                 f"linear input must end in {self.in_features} features, got {x.shape}")
-        self._x = x
+        self._x = _cached(x)
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
@@ -240,8 +266,9 @@ class LeakyReLU(Layer):
         self._pos = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._pos = x >= 0
-        return np.where(self._pos, x, self.slope * x)
+        pos = x >= 0
+        self._pos = _cached(pos)
+        return np.where(pos, x, self.slope * x)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         return np.where(self._pos, gy, self.slope * gy)
@@ -253,7 +280,7 @@ class Sigmoid(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y = sigmoid(x)
-        self._y = y
+        self._y = _cached(y)
         return y
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
@@ -322,9 +349,10 @@ class MaxPoolAxis(Layer):
         self._shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._arg = np.argmax(x, axis=self.axis)
-        self._shape = x.shape
-        return np.take_along_axis(x, np.expand_dims(self._arg, self.axis),
+        arg = np.argmax(x, axis=self.axis)
+        self._arg = _cached(arg)
+        self._shape = _cached(x.shape)
+        return np.take_along_axis(x, np.expand_dims(arg, self.axis),
                                   axis=self.axis).squeeze(self.axis)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:

@@ -37,14 +37,14 @@ forward_logits is the reference both passes are tested against.
 """
 
 import numpy as np
-from scipy import ndimage
 
 from .._dual import cells_to_edge_field, edge_field_to_cells, neighbor_rows
 from ..errors import InvalidKind, ShapeError
-from ..grids import EdgeField, GridDims, GridKind, ScalarGrid, SignGrid, VertexOffsetGrid, edge_ends
+from ..grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid, VertexOffsetGrid,
+                     box_any, edge_ends)
 from ..mc_tables import CORNER_OFFSETS
 from ..rng import rng_for
-from .layers import Conv3d, LeakyReLU, Layer, Sequential, sigmoid
+from .layers import Conv3d, LeakyReLU, Layer, Sequential, inference, sigmoid
 
 GRID_VARIANTS = {
     "sdf_v": ("sdf", "vertex", 3),
@@ -66,9 +66,7 @@ def vertex_band(grid: ScalarGrid) -> np.ndarray:
     if grid.kind != GridKind.OCC:
         return np.abs(grid.values) < BAND_WIDTH
     occ = grid.values[:-1, :-1, :-1] > 0.5
-    # "nearest" repeats a border cell, so only in-grid neighbours count
-    boundary = (ndimage.maximum_filter(occ, size=3, mode="nearest")
-                != ndimage.minimum_filter(occ, size=3, mode="nearest"))
+    boundary = box_any(occ) & box_any(~occ)
     band = np.zeros(grid.dims.vertex_shape, dtype=bool)
     for corner in CORNER_OFFSETS:
         band[tuple(slice(o, o + n) for o, n in zip(corner, occ.shape))] |= boundary
@@ -110,14 +108,7 @@ def band_sets(stack: Sequential, out: np.ndarray) -> list[np.ndarray]:
     sets = [out]
     for layer in stack.layers:
         if isinstance(layer, Conv3d) and layer.kernel == 3:
-            # the 3^3 box is a 3-voxel segment along each axis in turn
-            grown = sets[0].copy()
-            for axis in range(3):
-                lower, upper = edge_ends(grown, axis)
-                lower_was, upper_was = lower.copy(), upper.copy()
-                lower |= upper_was
-                upper |= lower_was
-            sets.insert(0, grown)
+            sets.insert(0, box_any(sets[0]))
     return sets
 
 
@@ -214,7 +205,8 @@ class GridNetwork(Layer):
         used, fill = self.used_outputs(grid)
         out = used.any(axis=0)
         probs = np.zeros(used.shape, dtype=self.dtype)
-        probs[:, out] = sigmoid(self.forward_rows(x, out))
+        with inference():
+            probs[:, out] = sigmoid(self.forward_rows(x, out))
         probs = np.where(used, probs, fill)
         if self.head == "sign":
             return SignGrid(grid.dims, probs[0] > 0.5)

@@ -35,24 +35,27 @@ first in the cloud are kept.
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..datagen import ACTIVE_MANHATTAN, cloud_active_cells
 from ..errors import NonFiniteValues, ShapeError, TooFewPoints
 from ..grids import GridDims
 from ..rng import rng_for
 from .layers import (Layer, LeakyReLU, Linear, MaxPoolAxis, ResBlockFC,
-                     Sequential, sigmoid)
+                     Sequential, _cached, inference, sigmoid)
 from .network import (HEAD_CHANNELS, band_sets, cell_head_output, conv_stack, stack_rows,
                       stack_rows_backward)
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 K_NEIGHBORS = 8
 
 
 def knn_indices(points: np.ndarray, queries: np.ndarray, k: int,
-                tree: cKDTree | None = None) -> np.ndarray:
+                tree: "cKDTree | None" = None) -> np.ndarray:
     """Indices of the k nearest points per query, ties by point index.
 
     The tree is asked for k + 8 candidates. A row whose last candidate
@@ -63,6 +66,7 @@ def knn_indices(points: np.ndarray, queries: np.ndarray, k: int,
     if n < k:
         raise TooFewPoints(f"need at least {k} points, got {n}")
     if tree is None:
+        from scipy.spatial import cKDTree
         tree = cKDTree(points)
     kq = min(n, k + 8)
     d, i = tree.query(queries, k=kq)
@@ -93,6 +97,7 @@ def _tied_knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     # the k smallest point indices at each position, padded with n
     table = np.where(j < counts[:, None],
                      members[np.minimum(starts[:, None] + j, n - 1)], n)
+    from scipy.spatial import cKDTree
     tree = cKDTree(ordered[starts])
     out = np.empty((len(queries), k), dtype=np.intp)
     rows = np.arange(len(queries))
@@ -137,6 +142,7 @@ def cloud_neighbors(cloud: np.ndarray, dims: GridDims) -> CloudNeighbors:
     if len(cloud) < K_NEIGHBORS:
         raise TooFewPoints(
             f"point network needs at least {K_NEIGHBORS} points, got {len(cloud)}")
+    from scipy.spatial import cKDTree
     tree = cKDTree(cloud)
     points = knn_indices(cloud, cloud, K_NEIGHBORS, tree=tree)
     active = cloud_active_cells(cloud, dims, ACTIVE_MANHATTAN)
@@ -195,8 +201,10 @@ class PointNetwork(Layer):
         return nb
 
     def _logits(self, cloud, dims: GridDims):
-        """(the cloud's neighborhoods, logits over the whole cell grid)."""
+        """(the cloud's neighborhoods, logits over the whole cell grid).
+        There is no dense backward, so it drops what forward_rows cached."""
         nb = self._neighbors(cloud, dims)
+        self._cache = None
         vol = np.zeros((self.channels,) + dims.cell_shape, dtype=self.dtype)
         vol[:, nb.active] = self._cell_features(nb).T
         return nb, self.grid.forward(vol)
@@ -218,7 +226,7 @@ class PointNetwork(Layer):
         at_rows, at_active = nb.active[sets[0]], sets[0][nb.active]
         x = np.zeros((self.channels, len(at_rows)), dtype=self.dtype)
         x[:, at_rows] = self._cell_features(nb)[at_active].T
-        self._cache = nb, at_rows, at_active
+        self._cache = _cached((nb, at_rows, at_active))
         return stack_rows(self.grid, x, sets)
 
     def backward_rows(self, grows: np.ndarray) -> None:
@@ -245,6 +253,7 @@ class PointNetwork(Layer):
         """Typed head output: computed at used_outputs, the fill
         elsewhere. `cloud` is an (N, 3) array or its CloudNeighbors,
         which several networks can share."""
-        nb, logits = self._logits(cloud, dims)
+        with inference():
+            nb, logits = self._logits(cloud, dims)
         used, fill = self.used_outputs(nb)
         return cell_head_output(self.head, np.where(used, sigmoid(logits), fill), dims)

@@ -4,7 +4,8 @@ against a brute-force order, band-sparse training steps against a dense
 forward and backward and against a loss computed on logit volumes,
 reproducible training runs and divergence, one neighborhood build per
 unaugmented point sample, set-restricted prediction
-against the dense pass, and masks off a head's lattice."""
+against the dense pass, prediction that keeps nothing for a backward
+pass, and masks off a head's lattice."""
 
 import functools
 import itertools
@@ -18,10 +19,11 @@ from ndcmesh.csg import random_scene
 from ndcmesh.datagen import cloud_active_cells, make_training_sample, sample_point_cloud
 from ndcmesh.errors import NonFiniteValues, ShapeError, TrainingDiverged
 from ndcmesh.fileio import save_weights
-from ndcmesh.grids import GridDims, GridKind, ScalarGrid
+from ndcmesh.grids import GridDims, GridKind, ScalarGrid, SignGrid, VertexOffsetGrid
 from ndcmesh.nn import (BCE_EPS, GRID_VARIANTS, Adam, Conv3d, GridNetwork, PointNetwork,
                         TrainConfig, Sigmoid, cloud_neighbors, knn_indices, make_network,
                         sigmoid, train_network, train_step)
+from ndcmesh.nn.layers import Layer
 from ndcmesh.nn.network import band_sets, stack_rows
 from ndcmesh.nn.train import head_loss, network_input, supervised_outputs
 from ndcmesh.rng import rng_for
@@ -560,6 +562,54 @@ def test_point_networks_share_a_clouds_neighborhoods():
             assert same_bits(x, y), head
         with pytest.raises(ShapeError):
             net.predict(shared, GridDims(9, 8, 11))
+
+
+def cached_state(layer, path="net") -> list:
+    """Paths of what a layer, and every layer it holds, keeps for a
+    backward pass: each private attribute that is not None."""
+    found = []
+    for name, value in vars(layer).items():
+        held = value if isinstance(value, list) else [value]
+        layers = [v for v in held if isinstance(v, Layer)]
+        for i, sub in enumerate(layers):
+            found += cached_state(sub, f"{path}.{name}[{i}]")
+        if not layers and name.startswith("_") and value is not None:
+            found.append(f"{path}.{name}")
+    return found
+
+
+def training_forward(net, sample, inp) -> None:
+    """The forward half of train_step, which caches for backward_rows."""
+    out = supervised_outputs(net, sample, inp).any(axis=0)
+    if net.variant == "pc_encoder":
+        net.forward_rows(inp, sample.dims, out)
+    else:
+        net.forward_rows(net.input_tensor(inp), out)
+
+
+def head_arrays(output) -> list:
+    """The arrays of a typed head output."""
+    if isinstance(output, SignGrid):
+        return [output.inside]
+    return [output.offsets] if isinstance(output, VertexOffsetGrid) else list(output.axes)
+
+
+def test_predict_keeps_nothing_for_a_backward_pass():
+    for net, sample in training_nets_and_samples(5, 59):
+        inp = network_input(net, sample)
+        args = (inp, sample.dims) if net.variant == "pc_encoder" else (inp,)
+        first = net.predict(*args)
+        assert cached_state(net) == [], net.variant
+        training_forward(net, sample, inp)
+        assert cached_state(net), net.variant
+        # predict drops the training step's rows and gives the same output
+        again = net.predict(*args)
+        assert cached_state(net) == [], (net.variant, cached_state(net))
+        for x, y in zip(head_arrays(first), head_arrays(again)):
+            assert same_bits(x, y), net.variant
+        # and the next training step caches again
+        training_forward(net, sample, inp)
+        assert cached_state(net), net.variant
 
 
 def test_grid_network_rows_reject_a_mask_off_the_heads_lattice():
