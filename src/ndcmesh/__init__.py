@@ -26,10 +26,9 @@ from .metrics import (MetricsReport, SampledSurface, chamfer_f1,
                       sample_surface, small_angles)
 from .ndc import close_holes, ndc_extract, undc_extract
 from .nn import TrainConfig, make_network, train_network
-from .qef import qef_solve, qef_solve_batch
+from .qef import qef_solve_svd
 from .rng import derive_seed, rng_for
-from .transforms import (NUM_TRANSFORMS, inverse_transform_id, is_rotation,
-                         transform_points)
+from .transforms import NUM_TRANSFORMS, transform_points
 
 __version__ = "0.1.0"
 
@@ -43,10 +42,10 @@ __all__ = [
     "close_holes", "csg_normal_fn", "dc_extract", "dc_fields",
     "derive_seed", "edge_crossing_normals", "edge_crossings_linear",
     "edge_metrics", "edge_topology_stats", "errors", "evaluate_mesh",
-    "fileio", "inverse_transform_id", "is_rotation", "make_network",
+    "fileio", "make_network",
     "make_training_sample", "mc_extract", "ndc_extract",
-    "normal_consistency", "pseudo_gt_vertices", "qef_solve",
-    "qef_solve_batch", "random_scene", "rng_for", "sample_csg_grid",
+    "normal_consistency", "pseudo_gt_vertices", "qef_solve_svd",
+    "random_scene", "rng_for", "sample_csg_grid",
     "sample_point_cloud", "sample_surface", "signs_from_scalar",
     "small_angles", "split_quads", "train_network", "transform_points",
     "undc_extract", "xor_flags",

@@ -12,6 +12,9 @@ Subcommands:
 `gen` writes each sample's input grid or cloud and its ground-truth
 signs, flags and vertex offsets to DATA/sample_NNN/. `train` reads those
 files back, so it learns from exactly the values `infer` and `mesh` read.
+Each (dataset kind, head) pair has one network, named by the stem of its
+weights file (HEAD_STEMS): `train` writes DATA/<stem>.ndcw, and `mesh`
+predicts with exactly that file or, without it, reads the ground truth.
 
 Exit codes: 0 success, 1 usage error (including numbers outside an
 option's range), 2 data error (bad files, missing inputs, diverged
@@ -36,7 +39,7 @@ import sys
 
 from . import fileio
 from .csg import csg_normal_fn, random_scene
-from .datagen import ACTIVE_MANHATTAN, assemble_sample, make_training_sample
+from .datagen import ACTIVE_MANHATTAN, TrainingSample, make_training_sample
 from .dc import dc_extract
 from .errors import NdcMeshError
 from .grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
@@ -55,13 +58,14 @@ MANIFEST_NAME = "manifest.txt"
 KIND_NAMES = {"sdf": GridKind.SDF, "udf": GridKind.UDF,
               "voxel": GridKind.OCC, "points": "points"}
 HEAD_NAMES = {"signs": "sign", "flags": "flag", "vertices": "vertex"}
-VARIANT_KEYS = {("sdf", "sign"): "sdf_s", ("sdf", "vertex"): "sdf_v",
-                ("sdf", "flag"): "sdf_f", ("udf", "vertex"): "sdf_v",
-                ("udf", "flag"): "sdf_f", ("voxel", "sign"): "vox_s",
-                ("voxel", "vertex"): "vox_v", ("voxel", "flag"): "vox_f"}
-WEIGHT_STEMS = {"sign": ("sdf_s", "vox_s"),
-                "vertex": ("sdf_v", "vox_v", "pc_v"),
-                "flag": ("pc_f", "sdf_f", "vox_f")}
+# the weights stem of each (dataset kind, head): a grid network's stem is
+# its variant, and both point heads are a "pc_encoder"; UDF and
+# point-cloud inputs carry no sign, so they have no sign head
+HEAD_STEMS = {("sdf", "sign"): "sdf_s", ("sdf", "vertex"): "sdf_v",
+              ("sdf", "flag"): "sdf_f", ("udf", "vertex"): "sdf_v",
+              ("udf", "flag"): "sdf_f", ("voxel", "sign"): "vox_s",
+              ("voxel", "vertex"): "vox_v", ("voxel", "flag"): "vox_f",
+              ("points", "vertex"): "pc_v", ("points", "flag"): "pc_f"}
 
 
 class UsageError(Exception):
@@ -125,8 +129,8 @@ def _load_samples(data: str, manifest: dict) -> list:
         else:
             grid = _read_grid(os.path.join(sdir, "input.ndcg"), ScalarGrid,
                               "an input grid", kind)
-        samples.append(assemble_sample(
-            dims, kind, grid, cloud,
+        samples.append(TrainingSample(
+            dims, grid, cloud,
             _read_grid(os.path.join(sdir, "gt_signs.ndcg"), SignGrid, "signs"),
             _read_grid(os.path.join(sdir, "gt_flags.ndcg"), EdgeField, "edge flags"),
             _read_grid(os.path.join(sdir, "gt_vertices.ndcg"), VertexOffsetGrid,
@@ -153,9 +157,9 @@ def _cloud_neighbors_of(cloud_path: str):
         lambda res: cloud_neighbors(fileio.read_xyz(cloud_path), GridDims(res, res, res)))
 
 
-def _predict(net, grid_path: str, neighbors, res: int, kind=None):
-    """Run a loaded network on a stored grid (read as `kind`, by default
-    the network's own input kind) or, for a point network, on a stored
+def _predict(net, grid_path: str, neighbors, res: int, kind):
+    """Run a loaded network on a stored grid (read as `kind`, or if None
+    as the network's own input kind) or, for a point network, on a stored
     cloud's neighborhoods (`neighbors`, see _cloud_neighbors_of)."""
     if net.variant == "pc_encoder":
         return net.predict(neighbors(res), GridDims(res, res, res))
@@ -166,17 +170,18 @@ def _predict(net, grid_path: str, neighbors, res: int, kind=None):
 
 def _resolve_field(explicit, data: str, sdir: str, head: str, gt_name: str,
                    cls, what: str, neighbors):
-    """Load a prediction field: explicit file > trained weights > GT file.
+    """Load a prediction field: explicit file > the weights `train` writes
+    for the dataset's kind and this head (HEAD_STEMS) > GT file.
     `neighbors` gives the sample cloud's neighborhoods (_cloud_neighbors_of)."""
     if explicit:
         return _read_grid(explicit, cls, what)
     manifest = _load_manifest(data)
-    for stem in WEIGHT_STEMS[head]:
-        wpath = os.path.join(data, stem + ".ndcw")
+    kind = manifest["kind"]
+    if (kind, head) in HEAD_STEMS:
+        wpath = os.path.join(data, HEAD_STEMS[kind, head] + ".ndcw")
         if os.path.exists(wpath):
-            kind = GridKind.UDF if manifest.get("kind") == "udf" else None
             return _predict(fileio.load_weights(wpath), os.path.join(sdir, "input.ndcg"),
-                            neighbors, int(manifest["res"]), kind)
+                            neighbors, int(manifest["res"]), KIND_NAMES[kind])
     gt_path = os.path.join(sdir, gt_name)
     if os.path.exists(gt_path):
         return _read_grid(gt_path, cls, what)
@@ -230,18 +235,10 @@ def cmd_train(args) -> None:
     manifest = _load_manifest(args.data)
     head = HEAD_NAMES[args.head]
     kind = manifest["kind"]
-    if kind == "points":
-        if head == "sign":
-            raise UsageError("point-cloud networks have no sign head; "
-                             "use --head flags or --head vertices")
-        variant = "pc_encoder"
-        stem = "pc_" + head[0]
-    else:
-        try:
-            variant = VARIANT_KEYS[(kind, head)]
-        except KeyError:
-            raise UsageError(f"no {args.head} head for {kind} datasets")
-        stem = variant
+    stem = HEAD_STEMS.get((kind, head))
+    if stem is None:
+        raise UsageError(f"no {args.head} head for {kind} datasets")
+    variant = "pc_encoder" if kind == "points" else stem
 
     samples = _load_samples(args.data, manifest)
     if args.steps is not None:
@@ -388,6 +385,8 @@ def _number(cast, low=None):
 
 
 COUNT = _number(int, 1)
+RES = _number(int, 2)  # a grid has at least 2 vertices per axis
+NON_NEGATIVE_INT = _number(int, 0)
 NON_NEGATIVE = _number(float, 0)
 FINITE = _number(float)
 
@@ -405,7 +404,7 @@ def build_parser() -> _Parser:
     g = subcommand("gen", cmd_gen, "generate training samples")
     g.add_argument("--out", default="runs", help="output dataset directory")
     g.add_argument("--count", type=COUNT, default=1, help="number of samples")
-    g.add_argument("--res", type=int, default=32, help="grid resolution per axis")
+    g.add_argument("--res", type=RES, default=32, help="grid resolution per axis")
     g.add_argument("--kind", choices=sorted(KIND_NAMES), default="sdf",
                    help="network input kind")
     g.add_argument("--csg-seed", type=int, default=None,
@@ -425,13 +424,13 @@ def build_parser() -> _Parser:
     t.add_argument("--channels", type=COUNT, default=24,
                    help="network width (small default keeps CPU runs quick)")
     t.add_argument("--lr", type=NON_NEGATIVE, default=1e-4)
-    t.add_argument("--halve-every", type=_number(int, 0), default=100,
+    t.add_argument("--halve-every", type=NON_NEGATIVE_INT, default=100,
                    help="halve lr every N epochs (0 disables)")
     t.add_argument("--augment", action="store_true",
                    help="random transform per sample per epoch")
     t.add_argument("--stop-below", type=FINITE, default=None,
                    help="stop once the epoch loss drops below this")
-    t.add_argument("--out", help="weights file (default: DATA/<variant>.ndcw)")
+    t.add_argument("--out", help="weights file (default: DATA/<stem>.ndcw, e.g. sdf_v or pc_f)")
 
     i = subcommand("infer", cmd_infer, "run trained networks")
     i.description = (
@@ -447,14 +446,14 @@ def build_parser() -> _Parser:
     i.add_argument("--grid", help="input NDCGRID scalar grid")
     i.add_argument("--grid-kind", choices=["sdf", "udf", "voxel"], default=None)
     i.add_argument("--cloud", help="input xyz point cloud")
-    i.add_argument("--res", type=int, default=None,
+    i.add_argument("--res", type=RES, default=None,
                    help="output grid resolution for --cloud")
     i.add_argument("--out-prefix", default="pred")
 
     m = subcommand("mesh", cmd_mesh, "extract a mesh")
     m.add_argument("--mode", choices=["dc", "dc-est", "mc", "ndc", "undc"], required=True)
     m.add_argument("--data", default="runs", help="dataset directory")
-    m.add_argument("--sample", type=int, default=0, help="sample index")
+    m.add_argument("--sample", type=NON_NEGATIVE_INT, default=0, help="sample index")
     m.add_argument("--sdf", help="scalar grid file (dc/dc-est/mc)")
     m.add_argument("--signs", help="sign grid file (ndc)")
     m.add_argument("--flags", help="edge flag file (undc)")
@@ -470,7 +469,7 @@ def build_parser() -> _Parser:
     e.add_argument("pred", nargs="?", help="predicted mesh (.obj/.ply)")
     e.add_argument("gt", nargs="?", help="ground-truth mesh")
     e.add_argument("--data", default="runs", help="dataset directory defaults")
-    e.add_argument("--sample", type=int, default=0)
+    e.add_argument("--sample", type=NON_NEGATIVE_INT, default=0)
     e.add_argument("--samples", type=COUNT, default=20000,
                    help="surface samples per mesh")
     e.add_argument("-o", "--out", help="write the report here too")

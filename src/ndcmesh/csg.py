@@ -18,6 +18,8 @@ import numpy as np
 
 from .rng import rng_for
 
+GRADIENT_STEP = 1e-4  # cell units: central-difference step of csg_gradient
+
 
 def _coords(p: np.ndarray):
     return p[..., 0], p[..., 1], p[..., 2]
@@ -104,14 +106,15 @@ class Subtract(CsgShape):
         return np.maximum(self.a.evaluate(p), -self.b.evaluate(p))
 
 
-def csg_gradient(shape: CsgShape, points: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Central-difference field gradient, one column per axis."""
+def csg_gradient(shape: CsgShape, points: np.ndarray) -> np.ndarray:
+    """Central-difference field gradient, one column per axis, with steps
+    of GRADIENT_STEP."""
     p = np.asarray(points, dtype=np.float64)
     out = np.empty(p.shape)
     for axis in range(3):
         step = np.zeros(3)
-        step[axis] = h
-        out[..., axis] = (shape(p + step) - shape(p - step)) / (2 * h)
+        step[axis] = GRADIENT_STEP
+        out[..., axis] = (shape(p + step) - shape(p - step)) / (2 * GRADIENT_STEP)
     return out
 
 

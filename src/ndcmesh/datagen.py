@@ -1,12 +1,13 @@
 """Training data construction from CSG scenes or triangle meshes.
 
 Every sample carries the input field (grid or point cloud), the exact
-crossing flags, per-cell least-squares vertex offsets, ground-truth
-signs, and the formulation (signed "ndc" or unsigned "undc") it
-targets. A sample holds no supervision masks: the outputs each head is
-trained on follow from the network's own output set and from the
-sample's ground truth (nn.train.supervised_outputs), so an augmented
-sample needs only its fields transformed.
+crossing flags, per-cell least-squares vertex offsets and ground-truth
+signs. The formulation it targets (signed "ndc" or unsigned "undc")
+follows from the input alone (TrainingSample.mode). A sample holds no
+supervision masks: the outputs each head is trained on follow from the
+network's own output set and from the sample's ground truth
+(nn.train.supervised_outputs), so an augmented sample needs only its
+fields transformed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
 ACTIVE_MANHATTAN = 3  # cell units: active band around a point cloud
+BISECTION_STEPS = 30  # CSG edge crossings: bisections along each crossed edge
 PROBE_DOUBLINGS = 4  # CSG clouds: times the surface probe box may double
 SIDE_TOL = 1e-9  # cell units: a lattice line this close to a triangle side is on it
 PAIR_CHUNK = 1 << 16  # (point, triangle) pairs the mesh distance tests at once
@@ -50,12 +52,17 @@ CULL_SLACK = 1e-6  # cell units: rounding margin of the distance candidate bound
 @dataclass
 class TrainingSample:
     dims: GridDims
-    mode: str  # "ndc" or "undc"
     grid: ScalarGrid | None
     cloud: np.ndarray | None  # (N, 3) grid units
     gt_signs: SignGrid
     gt_flags: EdgeField
     gt_offsets: VertexOffsetGrid
+
+    @property
+    def mode(self) -> str:
+        """"ndc" for a signed input grid (SDF or occupancy), "undc" for a
+        UDF grid or a point cloud (no grid)."""
+        return "undc" if self.grid is None or self.grid.kind is GridKind.UDF else "ndc"
 
 
 # lattice points per CSG evaluation: the temporaries of a field then take
@@ -100,7 +107,7 @@ def sample_csg_grid(shape: CsgShape, dims: GridDims, kind: GridKind = GridKind.S
 # exact edge data
 
 
-def _csg_edge_data(shape: CsgShape, dims: GridDims, iters: int = 30):
+def _csg_edge_data(shape: CsgShape, dims: GridDims):
     vals = _sample_lattice(shape, dims.vertex_shape)
     flags = EdgeField.full(dims, False, bool)
     tvals = EdgeField.full(dims, np.nan, np.float64)
@@ -117,7 +124,7 @@ def _csg_edge_data(shape: CsgShape, dims: GridDims, iters: int = 30):
         hi = np.ones(len(base))
         direction = np.zeros((1, 3))
         direction[0, axis] = 1.0
-        for _ in range(iters):
+        for _ in range(BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             fm = shape(base + mid[:, None] * direction)
             mid_in = fm < 0
@@ -512,8 +519,9 @@ def pseudo_gt_vertices(crossings: EdgeField, normals: EdgeField, dims: GridDims)
 # point clouds
 
 
-def cloud_active_cells(cloud: np.ndarray, dims: GridDims, reach: int = ACTIVE_MANHATTAN) -> np.ndarray:
-    """Cells within `reach` Manhattan steps of a cell containing a point.
+def cloud_active_cells(cloud: np.ndarray, dims: GridDims) -> np.ndarray:
+    """Cells within ACTIVE_MANHATTAN Manhattan steps of a cell containing a
+    point.
 
     Points outside the grid count in the nearest border cell; a
     non-finite point raises NonFiniteValues.
@@ -524,7 +532,7 @@ def cloud_active_cells(cloud: np.ndarray, dims: GridDims, reach: int = ACTIVE_MA
     cells = np.floor(cloud).astype(np.int64)
     cells = np.clip(cells, 0, np.asarray(dims.cell_shape) - 1)
     occ[cells[:, 0], cells[:, 1], cells[:, 2]] = True
-    return dilate_cross(occ, reach)
+    return dilate_cross(occ, ACTIVE_MANHATTAN)
 
 
 def sample_point_cloud(
@@ -610,24 +618,6 @@ def _project_box_samples(shape: CsgShape, count: int, rng: np.random.Generator,
 # sample assembly and augmentation
 
 
-def assemble_sample(
-    dims: GridDims,
-    kind: GridKind | str,
-    grid: ScalarGrid | None,
-    cloud: np.ndarray | None,
-    gt_signs: SignGrid,
-    gt_flags: EdgeField,
-    gt_offsets: VertexOffsetGrid,
-) -> TrainingSample:
-    """A sample from its input and ground truth.
-
-    kind is the network input: a scalar grid kind or "points". The mode
-    is "ndc" for signed inputs and "undc" for UDF and point clouds.
-    """
-    mode = "undc" if kind in ("points", GridKind.UDF) else "ndc"
-    return TrainingSample(dims, mode, grid, cloud, gt_signs, gt_flags, gt_offsets)
-
-
 def make_training_sample(
     source: CsgShape | TriMesh,
     dims: GridDims,
@@ -679,7 +669,7 @@ def make_training_sample(
     if wants_cloud:
         cloud = sample_point_cloud(source, cloud_size, noise_sigma, seed)
 
-    return assemble_sample(dims, kind, grid, cloud, gt_signs, flags, offsets)
+    return TrainingSample(dims, grid, cloud, gt_signs, flags, offsets)
 
 
 def augment_sample(sample: TrainingSample, transform_id: int) -> TrainingSample:
@@ -697,7 +687,6 @@ def augment_sample(sample: TrainingSample, transform_id: int) -> TrainingSample:
     cloud = tf.transform_points(sample.cloud, sample.dims, transform_id) if sample.cloud is not None else None
     return TrainingSample(
         new_dims,
-        sample.mode,
         grid,
         cloud,
         tf.transform_sign_grid(sample.gt_signs, transform_id),

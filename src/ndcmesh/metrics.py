@@ -35,7 +35,6 @@ CD_TABLE_SCALE = 1e5
 class SampledSurface:
     points: np.ndarray   # (N, 3)
     normals: np.ndarray  # (N, 3) unit
-    faces: np.ndarray    # (N,) source triangle index
 
     def __len__(self) -> int:
         return len(self.points)
@@ -48,7 +47,7 @@ def sample_surface(mesh: TriMesh, count: int, seed: int = 0) -> SampledSurface:
                   mesh.vertices[mesh.tris[:, 2]] - mesh.vertices[mesh.tris[:, 0]])
     norms = np.linalg.norm(fn, axis=1, keepdims=True)
     fn = np.divide(fn, norms, out=np.zeros_like(fn), where=norms > 0)
-    return SampledSurface(points, fn[fi], fi)
+    return SampledSurface(points, fn[fi])
 
 
 def _nn(a: np.ndarray, b: np.ndarray):
@@ -69,8 +68,7 @@ def chamfer_f1(a: SampledSurface, b: SampledSurface, tau: float):
     return cd, 2.0 * precision * recall / (precision + recall)
 
 
-def normal_consistency(a: SampledSurface, b: SampledSurface,
-                       thresholds_deg=IN_THRESHOLDS_DEG):
+def normal_consistency(a: SampledSurface, b: SampledSurface):
     """(nc, in_pct_a, in_pct_b): unoriented normal agreement at nearest
     neighbors, plus per-direction inaccurate-normal percentages."""
     _, ia = _nn(a.points, b.points)
@@ -80,16 +78,15 @@ def normal_consistency(a: SampledSurface, b: SampledSurface,
     nc = 0.5 * (float(dot_a.mean()) + float(dot_b.mean()))
     ang_a = np.degrees(np.arccos(np.clip(dot_a, 0.0, 1.0)))
     ang_b = np.degrees(np.arccos(np.clip(dot_b, 0.0, 1.0)))
-    in_a = {t: 100.0 * float(np.mean(ang_a > t)) for t in thresholds_deg}
-    in_b = {t: 100.0 * float(np.mean(ang_b > t)) for t in thresholds_deg}
+    in_a = {t: 100.0 * float(np.mean(ang_a > t)) for t in IN_THRESHOLDS_DEG}
+    in_b = {t: 100.0 * float(np.mean(ang_b > t)) for t in IN_THRESHOLDS_DEG}
     return nc, in_a, in_b
 
 
-def edge_sample_mask(s: SampledSurface, radius: float,
-                     angle_deg: float = EDGE_ANGLE_DEG) -> np.ndarray:
+def edge_sample_mask(s: SampledSurface, radius: float) -> np.ndarray:
     """True where some other sample within radius disagrees in normal
-    direction by more than angle_deg (unoriented)."""
-    cos_thresh = np.cos(np.radians(angle_deg))
+    direction by more than EDGE_ANGLE_DEG (unoriented)."""
+    cos_thresh = np.cos(np.radians(EDGE_ANGLE_DEG))
     from scipy.spatial import cKDTree
     tree = cKDTree(s.points)
     pairs = tree.query_pairs(radius, output_type="ndarray")
@@ -103,24 +100,23 @@ def edge_sample_mask(s: SampledSurface, radius: float,
     return mask
 
 
-def edge_metrics(a: SampledSurface, b: SampledSurface, tau: float,
-                 radius: float, angle_deg: float = EDGE_ANGLE_DEG):
+def edge_metrics(a: SampledSurface, b: SampledSurface, tau: float, radius: float):
     """(ecd, ef1): Chamfer/F1 restricted to edge samples.
 
     An empty edge set on either side yields (inf, 0).
     """
-    ma = edge_sample_mask(a, radius, angle_deg)
-    mb = edge_sample_mask(b, radius, angle_deg)
+    ma = edge_sample_mask(a, radius)
+    mb = edge_sample_mask(b, radius)
     if not ma.any() or not mb.any():
         return float("inf"), 0.0
-    ea = SampledSurface(a.points[ma], a.normals[ma], a.faces[ma])
-    eb = SampledSurface(b.points[mb], b.normals[mb], b.faces[mb])
+    ea = SampledSurface(a.points[ma], a.normals[ma])
+    eb = SampledSurface(b.points[mb], b.normals[mb])
     return chamfer_f1(ea, eb, tau)
 
 
-def small_angles(mesh: TriMesh, thresholds_deg=SA_THRESHOLDS_DEG):
+def small_angles(mesh: TriMesh):
     """(sa_pct, degenerate_count): percentage of triangle interior
-    angles below each threshold; zero-area triangles count as three 0
+    angles below each SA_THRESHOLDS_DEG threshold; zero-area triangles count as three 0
     degree angles and are also tallied separately."""
     if len(mesh.tris) == 0:
         raise EmptyMesh("cannot measure angles of an empty mesh")
@@ -138,7 +134,7 @@ def small_angles(mesh: TriMesh, thresholds_deg=SA_THRESHOLDS_DEG):
     degenerate = triangle_areas(mesh.vertices, mesh.tris) == 0
     angles[degenerate] = 0.0
     flat = angles.ravel()
-    sa = {t: 100.0 * float(np.mean(flat < t)) for t in thresholds_deg}
+    sa = {t: 100.0 * float(np.mean(flat < t)) for t in SA_THRESHOLDS_DEG}
     return sa, int(degenerate.sum())
 
 

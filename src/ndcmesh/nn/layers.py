@@ -68,8 +68,8 @@ class Param:
         self.grad = np.zeros_like(self.value)
 
 
-def _kaiming_std(fan_in: int, slope: float = LEAKY_SLOPE) -> float:
-    return math.sqrt(2.0 / ((1.0 + slope * slope) * fan_in))
+def _kaiming_std(fan_in: int) -> float:
+    return math.sqrt(2.0 / ((1.0 + LEAKY_SLOPE * LEAKY_SLOPE) * fan_in))
 
 
 class Layer:
@@ -261,17 +261,18 @@ class Linear(Layer):
 
 
 class LeakyReLU(Layer):
-    def __init__(self, slope: float = LEAKY_SLOPE):
-        self.slope = slope
+    """Leaky ReLU with slope LEAKY_SLOPE below zero."""
+
+    def __init__(self):
         self._pos = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         pos = x >= 0
         self._pos = _cached(pos)
-        return np.where(pos, x, self.slope * x)
+        return np.where(pos, x, LEAKY_SLOPE * x)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        return np.where(self._pos, gy, self.slope * gy)
+        return np.where(self._pos, gy, LEAKY_SLOPE * gy)
 
 
 class Sigmoid(Layer):
@@ -341,22 +342,20 @@ class Sequential(Layer):
 
 
 class MaxPoolAxis(Layer):
-    """Max over one axis (used to pool K neighbor features per query)."""
+    """Max over axis 1, which holds the K neighbor features of each query
+    in a (queries, K, features) array."""
 
-    def __init__(self, axis: int = 1):
-        self.axis = axis
+    def __init__(self):
         self._arg = None
         self._shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        arg = np.argmax(x, axis=self.axis)
+        arg = np.argmax(x, axis=1)
         self._arg = _cached(arg)
         self._shape = _cached(x.shape)
-        return np.take_along_axis(x, np.expand_dims(arg, self.axis),
-                                  axis=self.axis).squeeze(self.axis)
+        return np.take_along_axis(x, np.expand_dims(arg, 1), axis=1).squeeze(1)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         gx = np.zeros(self._shape, dtype=gy.dtype)
-        np.put_along_axis(gx, np.expand_dims(self._arg, self.axis),
-                          np.expand_dims(gy, self.axis), axis=self.axis)
+        np.put_along_axis(gx, np.expand_dims(self._arg, 1), np.expand_dims(gy, 1), axis=1)
         return gx

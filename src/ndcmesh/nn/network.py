@@ -34,6 +34,11 @@ cells for OCC):
 Outside the supervised outputs the loss, and so every gradient, is
 zero; backward_rows (stack_rows_backward) is exact there. The dense
 forward_logits is the reference both passes are tested against.
+
+Every pass reads the network's input as training and predict hold it:
+GridNetwork takes the ScalarGrid, PointNetwork (nn.pointnet) the
+cloud's CloudNeighbors. So nn.train makes one forward_rows(input, out)
+call whatever the network.
 """
 
 import numpy as np
@@ -174,14 +179,19 @@ class GridNetwork(Layer):
             raise InvalidKind(
                 f"{self.variant} expects {self.input_kind} input, got {grid.kind.name}")
 
-    def forward_logits(self, x: np.ndarray) -> np.ndarray:
-        """Logits at every voxel (the dense reference; nothing is cached)."""
-        return self.trunk.forward(x)
+    def _input_tensor(self, grid: ScalarGrid) -> np.ndarray:
+        self._check_grid(grid)
+        return grid.values[None].astype(self.dtype)
 
-    def forward_rows(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def forward_logits(self, grid: ScalarGrid) -> np.ndarray:
+        """Logits at every voxel (the dense reference; nothing is cached)."""
+        return self.trunk.forward(self._input_tensor(grid))
+
+    def forward_rows(self, grid: ScalarGrid, out: np.ndarray) -> np.ndarray:
         """Logits at the outputs of mask `out`, over the head's lattice, as
-        (channels, N) rows in C order, from the (1, *shape) input tensor x."""
-        lattice = x.shape[1:] if self.head == "sign" else tuple(s - 1 for s in x.shape[1:])
+        (channels, N) rows in C order."""
+        x = self._input_tensor(grid)
+        lattice = grid.dims.vertex_shape if self.head == "sign" else grid.dims.cell_shape
         if out.shape != lattice:
             raise ShapeError(f"{self.variant} outputs lie on {lattice}, not {out.shape}")
         if self.head != "sign":
@@ -194,19 +204,14 @@ class GridNetwork(Layer):
         from the gradient at its rows."""
         stack_rows_backward(self.trunk, grows)
 
-    def input_tensor(self, grid: ScalarGrid) -> np.ndarray:
-        self._check_grid(grid)
-        return grid.values[None].astype(self.dtype)
-
     def predict(self, grid: ScalarGrid):
         """Thresholded, typed output for this network's head: computed at
         used_outputs, the fill elsewhere."""
-        x = self.input_tensor(grid)
         used, fill = self.used_outputs(grid)
         out = used.any(axis=0)
         probs = np.zeros(used.shape, dtype=self.dtype)
         with inference():
-            probs[:, out] = sigmoid(self.forward_rows(x, out))
+            probs[:, out] = sigmoid(self.forward_rows(grid, out))
         probs = np.where(used, probs, fill)
         if self.head == "sign":
             return SignGrid(grid.dims, probs[0] > 0.5)
@@ -233,9 +238,8 @@ class GridNetwork(Layer):
 
 
 def make_network(variant: str, channels: int | None = None, seed: int = 0,
-                 dtype=np.float32, head: str | None = None,
-                 resblocks: int | None = None):
-    """Build a prediction network by variant name.
+                 head: str | None = None, resblocks: int | None = None):
+    """Build a float32 prediction network by variant name.
 
     Grid variants fix their head; "pc_encoder" takes the head
     explicitly (default "flag") and defaults to 128 channels.
@@ -243,11 +247,9 @@ def make_network(variant: str, channels: int | None = None, seed: int = 0,
     if variant == "pc_encoder":
         from .pointnet import PointNetwork
         return PointNetwork(head or "flag",
-                            channels=128 if channels is None else channels,
-                            seed=seed, dtype=dtype,
+                            channels=128 if channels is None else channels, seed=seed,
                             resblocks=2 if resblocks is None else resblocks)
-    net = GridNetwork(variant, channels=64 if channels is None else channels,
-                      seed=seed, dtype=dtype)
+    net = GridNetwork(variant, channels=64 if channels is None else channels, seed=seed)
     if head is not None and head != net.head:
         raise ValueError(f"variant {variant} has head {net.head!r}, not {head!r}")
     return net

@@ -26,7 +26,9 @@ Both neighborhoods hold K_NEIGHBORS points, and the active reach is
 datagen.ACTIVE_MANHATTAN; neither is an option of the network. So they
 depend on the cloud alone: cloud_neighbors finds them once, and every
 network that reads the same cloud (`ndcmesh infer` with a flag and a
-vertex head) takes the same CloudNeighbors.
+vertex head) takes the same CloudNeighbors. forward_rows and
+forward_logits read only a CloudNeighbors, which carries the grid dims;
+predict also takes the raw (N, 3) cloud with the dims.
 
 Neighbor queries break distance ties by the smaller point index. The
 neighbor sets therefore do not depend on the input point order, except
@@ -39,7 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..datagen import ACTIVE_MANHATTAN, cloud_active_cells
+from ..datagen import cloud_active_cells
 from ..errors import NonFiniteValues, ShapeError, TooFewPoints
 from ..grids import GridDims
 from ..rng import rng_for
@@ -145,7 +147,7 @@ def cloud_neighbors(cloud: np.ndarray, dims: GridDims) -> CloudNeighbors:
     from scipy.spatial import cKDTree
     tree = cKDTree(cloud)
     points = knn_indices(cloud, cloud, K_NEIGHBORS, tree=tree)
-    active = cloud_active_cells(cloud, dims, ACTIVE_MANHATTAN)
+    active = cloud_active_cells(cloud, dims)
     cells = knn_indices(cloud, np.argwhere(active) + 0.5, K_NEIGHBORS, tree=tree)
     return CloudNeighbors(cloud, dims, points, active, cells)
 
@@ -166,7 +168,7 @@ class PointNetwork(Layer):
             Linear(3, c, rng_for(seed, "enc", 0), dtype), LeakyReLU(),
             Linear(c, c, rng_for(seed, "enc", 1), dtype), LeakyReLU(),
         ])
-        self.point_pool = MaxPoolAxis(axis=1)
+        self.point_pool = MaxPoolAxis()
         self.resblock_count = resblocks
         self.res = Sequential([
             ResBlockFC(c, rng_for(seed, "res", i), dtype) for i in range(resblocks)
@@ -175,7 +177,7 @@ class PointNetwork(Layer):
             Linear(3 + c, c, rng_for(seed, "cell", 0), dtype), LeakyReLU(),
             Linear(c, c, rng_for(seed, "cell", 1), dtype), LeakyReLU(),
         ])
-        self.cell_pool = MaxPoolAxis(axis=1)
+        self.cell_pool = MaxPoolAxis()
         self.grid = conv_stack(c, c, self.out_channels, 3, seed, ("grid3", "grid1"), dtype)
         self._cache = None
 
@@ -194,32 +196,19 @@ class PointNetwork(Layer):
         cat = np.concatenate([rel2, feats[nb.cells]], axis=-1)
         return self.cell_pool.forward(self.cell_enc.forward(cat))
 
-    def _neighbors(self, cloud, dims: GridDims) -> CloudNeighbors:
-        nb = cloud if isinstance(cloud, CloudNeighbors) else cloud_neighbors(cloud, dims)
-        if nb.dims != dims:
-            raise ShapeError(f"cloud neighborhoods are for {nb.dims}, not {dims}")
-        return nb
-
-    def _logits(self, cloud, dims: GridDims):
-        """(the cloud's neighborhoods, logits over the whole cell grid).
-        There is no dense backward, so it drops what forward_rows cached."""
-        nb = self._neighbors(cloud, dims)
+    def forward_logits(self, nb: CloudNeighbors) -> np.ndarray:
+        """Logits over the whole cell grid (the dense reference). There is
+        no dense backward, so it drops what forward_rows cached."""
         self._cache = None
-        vol = np.zeros((self.channels,) + dims.cell_shape, dtype=self.dtype)
+        vol = np.zeros((self.channels,) + nb.dims.cell_shape, dtype=self.dtype)
         vol[:, nb.active] = self._cell_features(nb).T
-        return nb, self.grid.forward(vol)
+        return self.grid.forward(vol)
 
-    def forward_logits(self, cloud, dims: GridDims) -> np.ndarray:
-        """Logits over the whole cell grid (the dense reference); `cloud`
-        is an (N, 3) array or its CloudNeighbors."""
-        return self._logits(cloud, dims)[1]
-
-    def forward_rows(self, cloud, dims: GridDims, out: np.ndarray) -> np.ndarray:
+    def forward_rows(self, nb: CloudNeighbors, out: np.ndarray) -> np.ndarray:
         """Logits at the cells of mask `out`, as (channels, N) rows in C
         order; caches what backward_rows needs."""
-        if out.shape != dims.cell_shape:
-            raise ShapeError(f"pc_encoder outputs lie on {dims.cell_shape}, not {out.shape}")
-        nb = self._neighbors(cloud, dims)
+        if out.shape != nb.dims.cell_shape:
+            raise ShapeError(f"pc_encoder outputs lie on {nb.dims.cell_shape}, not {out.shape}")
         sets = band_sets(self.grid, out)
         # the active cells among the input rows, and the input rows among
         # the active cells: the same cells, both in C order
@@ -253,7 +242,10 @@ class PointNetwork(Layer):
         """Typed head output: computed at used_outputs, the fill
         elsewhere. `cloud` is an (N, 3) array or its CloudNeighbors,
         which several networks can share."""
+        nb = cloud if isinstance(cloud, CloudNeighbors) else cloud_neighbors(cloud, dims)
+        if nb.dims != dims:
+            raise ShapeError(f"cloud neighborhoods are for {nb.dims}, not {dims}")
         with inference():
-            nb, logits = self._logits(cloud, dims)
+            logits = self.forward_logits(nb)
         used, fill = self.used_outputs(nb)
         return cell_head_output(self.head, np.where(used, sigmoid(logits), fill), dims)

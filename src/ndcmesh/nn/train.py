@@ -8,11 +8,16 @@ ground-truth vertex. Both are computed in each step from the possibly
 augmented sample. The loss, and with it every gradient, is zero outside
 that set, so each step runs the network on it alone (forward_rows,
 backward_rows), and the loss reads those rows and its targets gathered
-there. The learning rate halves
-every `halve_every` epochs (0 disables the schedule). With
-augmentation enabled, each sample gets one group transform per epoch,
-drawn deterministically from the seed. Sample order, augmentation and
-initialization are all seeded, so a run is reproducible bit for bit.
+there. A step makes the same forward_rows(input, outputs) call for
+every network: the input (network_input) is the sample's grid, or a
+point-cloud sample's neighborhoods, so the step never asks which kind
+of network it trains.
+
+The learning rate halves every `halve_every` epochs (0 disables the
+schedule). With augmentation enabled, each sample gets one group
+transform per epoch, drawn deterministically from the seed. Sample
+order, augmentation and initialization are all seeded, so a run is
+reproducible bit for bit.
 """
 
 from dataclasses import dataclass
@@ -45,9 +50,10 @@ class TrainConfig:
     stop_below: float | None = None
 
 
-def network_input(net, sample: TrainingSample):
-    """What net reads of a sample: its grid, or its cloud's neighborhoods."""
-    if net.variant == "pc_encoder":
+def network_input(sample: TrainingSample):
+    """What a network reads of a sample: its grid, or for a point-cloud
+    sample, which has none, its cloud's neighborhoods."""
+    if sample.grid is None:
         return cloud_neighbors(sample.cloud, sample.dims)
     return sample.grid
 
@@ -62,7 +68,7 @@ def supervised_outputs(net, sample: TrainingSample, inp=None) -> np.ndarray:
         flags = xor_flags(sample.gt_signs) if sample.mode == "ndc" else sample.gt_flags
         cells = active_cell_mask(flags)
         return np.broadcast_to(cells, (3,) + cells.shape)
-    return net.used_outputs(network_input(net, sample) if inp is None else inp)[0]
+    return net.used_outputs(network_input(sample) if inp is None else inp)[0]
 
 
 def head_loss(net, sample: TrainingSample, rows: np.ndarray, used: np.ndarray):
@@ -89,13 +95,9 @@ def train_step(net, sample: TrainingSample, adam: Adam, inp=None) -> float:
     """One forward/backward/update on a single sample; returns the loss.
     `inp` is network_input of the sample, built here if not given."""
     if inp is None:
-        inp = network_input(net, sample)
+        inp = network_input(sample)
     used = supervised_outputs(net, sample, inp)
-    out = used.any(axis=0)
-    if net.variant == "pc_encoder":
-        rows = net.forward_rows(inp, sample.dims, out)
-    else:
-        rows = net.forward_rows(net.input_tensor(inp), out)
+    rows = net.forward_rows(inp, used.any(axis=0))
     loss, grows = head_loss(net, sample, rows, used)
     # the last conv sums its weight and bias gradients in an order that
     # follows gy's layout; Fortran order, that of a gather from a logit
@@ -116,7 +118,7 @@ def train_network(config: TrainConfig, samples: list):
                        head=config.head)
     adam = Adam(net.params(), lr=config.lr)
     # an unaugmented sample's input (a cloud's neighborhoods) is built once
-    inputs = [None if config.augment else network_input(net, s) for s in samples]
+    inputs = [None if config.augment else network_input(s) for s in samples]
     history = []
     for epoch in range(config.epochs):
         if config.halve_every:

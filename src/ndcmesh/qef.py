@@ -4,6 +4,11 @@ Minimizes sum_e (n_e . (x - p_e))^2 about the constraint mass point. The
 normal matrix is decomposed by SVD and singular values below 0.1 times
 the largest are dropped, which resolves under-determined directions
 toward the mass point instead of letting them blow up along sharp edges.
+
+qef_solve_svd is the one solve: it takes a batch of constraint sets, a
+single set being a batch of one, and returns the decomposition with the
+positions, so DC's null-space slide reuses the SVD. Classical DC and
+the pseudo ground truth both reach it through dc.qef_cell_offsets.
 """
 
 from __future__ import annotations
@@ -14,36 +19,22 @@ from .errors import NoConstraints
 
 TRUNCATION_RATIO = 0.1
 
-_UNIT_BOUNDS = (np.zeros(3), np.ones(3))
-
-
-def qef_solve_batch(
-    points: np.ndarray,
-    normals: np.ndarray,
-    valid: np.ndarray,
-    bounds: tuple[np.ndarray, np.ndarray] | None = _UNIT_BOUNDS,
-) -> np.ndarray:
-    """Solve many constraint sets at once.
-
-    points, normals: (B, N, 3); valid: (B, N) with at least one true row
-    entry per problem. Invalid slots are ignored. Returns (B, 3) positions
-    clamped to bounds, guaranteed no worse (in the QEF objective) than the
-    mass point of the valid constraints.
-    """
-    return qef_solve_svd(points, normals, valid, bounds)[0]
-
 
 def qef_solve_svd(
     points: np.ndarray,
     normals: np.ndarray,
     valid: np.ndarray,
-    bounds: tuple[np.ndarray, np.ndarray] | None = _UNIT_BOUNDS,
+    bounds: tuple[np.ndarray, np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """qef_solve_batch's positions, with the decomposition they came from:
-    returns (positions, keep, vt), where vt (B, r, 3), r = min(N, 3),
-    holds the right singular vectors of the masked normal matrix by
-    decreasing singular value and keep (B, r) marks the directions the
-    solve kept."""
+    """Solve many constraint sets at once.
+
+    points, normals: (B, N, 3); valid: (B, N) with at least one true row
+    entry per problem. Invalid slots are ignored. Returns (positions,
+    keep, vt): (B, 3) positions clamped to bounds (None: unclamped), no
+    worse in the QEF objective than the mass point of the valid
+    constraints; vt (B, r, 3), r = min(N, 3), the right singular vectors
+    of the masked normal matrix by decreasing singular value; and keep
+    (B, r), the directions the solve kept."""
     points = np.asarray(points, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
@@ -80,13 +71,3 @@ def qef_solve_svd(
         x = np.where(worse[:, None], fallback, x)
     return x, keep, vt
 
-
-def qef_solve(
-    constraints,
-    cell_bounds: tuple | None = _UNIT_BOUNDS,
-) -> np.ndarray:
-    """Solve a single set of (point, normal) constraints; see qef_solve_batch."""
-    if len(constraints) == 0:
-        raise NoConstraints("empty constraint list")
-    points, normals = (np.asarray(side, dtype=np.float64)[None] for side in zip(*constraints))
-    return qef_solve_batch(points, normals, np.ones(points.shape[:2], dtype=bool), cell_bounds)[0]

@@ -13,6 +13,9 @@ bit j reverses output axis j. Id 0 is the identity.
 The spatial part acts on lattice data by axis permutation plus index
 reversal; sign inversion complements inside flags and negates signed
 distance values while leaving crossing flags and offsets untouched.
+
+Augmentation (datagen.augment_sample) draws an id and applies it; an
+id's inverse, which only the tests need, is found by searching the 96.
 """
 
 from __future__ import annotations
@@ -40,39 +43,6 @@ def spatial_parts(transform_id: int) -> tuple[tuple[int, int, int], tuple[bool, 
     return perm, flips, invert
 
 
-def _spatial_id(perm: tuple[int, ...], flips) -> int:
-    bits = sum(1 << j for j in range(3) if flips[j])
-    return 8 * PERMS.index(tuple(perm)) + bits
-
-
-def compose_spatial(second: int, first: int) -> int:
-    """Spatial id of applying `first` then `second`."""
-    p1, f1, _ = spatial_parts(first % NUM_SPATIAL)
-    p2, f2, _ = spatial_parts(second % NUM_SPATIAL)
-    perm = tuple(p1[p2[j]] for j in range(3))
-    flips = tuple(f2[j] ^ f1[p2[j]] for j in range(3))
-    return _spatial_id(perm, flips)
-
-
-def inverse_transform_id(transform_id: int) -> int:
-    """The id that undoes transform_id (sign inversion is self-inverse)."""
-    spatial = transform_id % NUM_SPATIAL
-    for cand in range(NUM_SPATIAL):
-        if compose_spatial(cand, spatial) == 0:
-            inv = cand
-            break
-    return inv + (NUM_SPATIAL if transform_id >= NUM_SPATIAL else 0)
-
-
-def is_rotation(transform_id: int) -> bool:
-    """True for the 24 orientation-preserving spatial parts."""
-    perm, flips, _ = spatial_parts(transform_id)
-    mat = np.zeros((3, 3))
-    for j in range(3):
-        mat[j, perm[j]] = -1.0 if flips[j] else 1.0
-    return np.linalg.det(mat) > 0
-
-
 def _apply_spatial(arr: np.ndarray, perm, flips) -> np.ndarray:
     out = np.transpose(arr, perm)
     sl = tuple(slice(None, None, -1) if flips[j] else slice(None) for j in range(3))
@@ -96,18 +66,12 @@ def transform_offsets(grid: VertexOffsetGrid, transform_id: int) -> VertexOffset
     return VertexOffsetGrid(transformed_dims(grid.dims, transform_id), np.ascontiguousarray(out))
 
 
-def transform_edge_field(field: EdgeField, transform_id: int, directed: bool = False) -> EdgeField:
-    """Re-axis an edge field; `directed` treats values as parameters along
-    the edge direction (so an axis reversal maps t to 1 - t)."""
+def transform_edge_field(field: EdgeField, transform_id: int) -> EdgeField:
+    """Re-axis an edge field of per-edge values that do not depend on the
+    edge's direction, such as crossing flags."""
     perm, flips, _ = spatial_parts(transform_id)
-    new_dims = transformed_dims(field.dims, transform_id)
-    arrs = []
-    for j in range(3):
-        arr = _apply_spatial(field.axis(perm[j]), perm, flips)
-        if directed and flips[j]:
-            arr = 1.0 - arr
-        arrs.append(arr)
-    return EdgeField(new_dims, *arrs)
+    return EdgeField(transformed_dims(field.dims, transform_id),
+                     *(_apply_spatial(field.axis(perm[j]), perm, flips) for j in range(3)))
 
 
 def transform_sign_grid(signs: SignGrid, transform_id: int) -> SignGrid:

@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from ndcmesh.grids import GridDims
+from ndcmesh.grids import GridDims, GridKind, ScalarGrid
 from ndcmesh.mesh import TriMesh
-from ndcmesh.transforms import _apply_spatial, spatial_parts
+from ndcmesh.transforms import (NUM_TRANSFORMS, _apply_spatial, spatial_parts,
+                                transform_scalar_grid)
 
 
 def plane_sheet_mesh(dims: GridDims, axis: int = 2, coord: float = None) -> TriMesh:
@@ -35,3 +36,14 @@ def transform_vertex_array(arr: np.ndarray, transform_id: int) -> np.ndarray:
     """Per-vertex scalar or bool data (also works on the cell lattice)."""
     perm, flips, _ = spatial_parts(transform_id)
     return _apply_spatial(arr, perm, flips)
+
+
+def inverse_id(transform_id: int) -> int:
+    """The transform id that undoes `transform_id`, found by searching the
+    96: the one that takes a grid of distinct signed values, with three
+    distinct axis lengths, back to itself."""
+    dims = GridDims(2, 3, 4)
+    grid = ScalarGrid(dims, GridKind.SDF, np.arange(1.0, 25.0).reshape(dims.vertex_shape))
+    moved = transform_scalar_grid(grid, transform_id)
+    return next(u for u in range(NUM_TRANSFORMS)
+                if np.array_equal(transform_scalar_grid(moved, u).values, grid.values))

@@ -120,8 +120,13 @@ def test_numbers_outside_an_options_range_are_usage_errors(tmp_path, capsys):
         train + ["--halve-every", "-1"], train + ["--stop-below", "nan"],
         gen + ["--count", "0"], gen + ["--noise-sigma", "-1"],
         gen + ["--kind", "points", "--cloud-size", "0"],
+        gen + ["--res", "1"], gen + ["--res", "0"], gen + ["--res", "-5"],
+        ["infer", "--weights", str(tmp_path / "w.ndcw"), "--cloud", str(tmp_path / "c.xyz"),
+         "--res", "1"],
         ["mesh", "--mode", "mc", "--data", data, "--iso", "inf"],
+        ["mesh", "--mode", "ndc", "--data", data, "--sample", "-1"],
         ["eval", "--data", data, "--samples", "0"],
+        ["eval", "--data", data, "--sample", "-1"],
     ]
     for argv in rejected:
         assert cli_main(argv) == 1, argv
@@ -130,6 +135,29 @@ def test_numbers_outside_an_options_range_are_usage_errors(tmp_path, capsys):
     # lr 0 and no lr halving stay legal
     assert cli_main(train + ["--steps", "1", "--channels", "4", "--lr", "0",
                              "--halve-every", "0"]) == 0
+
+
+def test_mesh_reads_only_the_weights_train_writes_for_the_datasets_kind(tmp_path):
+    """Weights for another input kind in an SDF dataset are not read: mesh
+    falls back to the ground truth exactly as without them."""
+    data = str(tmp_path / "csg")
+    assert cli_main(["gen", "--out", data, "--res", "12", "--seed", "4"]) == 0
+
+    def meshes(tag):
+        out = {}
+        for mode in ("ndc", "undc"):
+            path = str(tmp_path / f"{tag}_{mode}.obj")
+            assert cli_main(["mesh", "--mode", mode, "--data", data, "-o", path]) == 0, mode
+            with open(path, "rb") as fh:
+                out[mode] = fh.read()
+        return out
+
+    alone = meshes("alone")
+    assert all(b"\nf " in obj for obj in alone.values())
+    fileio.save_weights(os.path.join(data, "pc_f.ndcw"),
+                        make_network("pc_encoder", channels=4, head="flag"))
+    fileio.save_weights(os.path.join(data, "vox_v.ndcw"), make_network("vox_v", channels=4))
+    assert meshes("stray") == alone
 
 
 def test_eval_csv_writes_its_header_once_and_appends_rows(tmp_path):

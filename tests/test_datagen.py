@@ -26,10 +26,10 @@ from ndcmesh.nn import K_NEIGHBORS, GridNetwork, PointNetwork, cloud_neighbors
 from ndcmesh.nn.network import BAND_WIDTH
 from ndcmesh.nn.train import supervised_outputs
 from ndcmesh.rng import rng_for
-from ndcmesh.transforms import (NUM_TRANSFORMS, inverse_transform_id, transform_edge_field,
+from ndcmesh.transforms import (NUM_TRANSFORMS, transform_edge_field,
                                 transformed_dims)
 
-from helpers import plane_sheet_mesh, transform_vertex_array
+from helpers import inverse_id, plane_sheet_mesh, transform_vertex_array
 
 
 def plane_box(normal, point, extent=2000.0):
@@ -204,9 +204,11 @@ def grid_net(variant):
 
 def sign_sample(dims, inside):
     """A signed-mode sample that holds only ground-truth signs (and the
-    flags they imply); enough for the vertex head's supervised cells."""
+    flags they imply) and an SDF grid of those signs; enough for the
+    vertex head's supervised cells."""
     signs = SignGrid(dims, inside)
-    return TrainingSample(dims, "ndc", None, None, signs, xor_flags(signs),
+    grid = ScalarGrid(dims, GridKind.SDF, np.where(inside, -1.0, 1.0))
+    return TrainingSample(dims, grid, None, signs, xor_flags(signs),
                           VertexOffsetGrid(dims, np.full(dims.cell_shape + (3,), 0.5)))
 
 
@@ -226,7 +228,8 @@ def test_sign_change_cells_are_a_subset_of_crossed_cells():
     sample = make_training_sample(random_scene(5, extent=16.0), dims)
     net = grid_net("sdf_v")
     ndc_cells = supervised_outputs(net, sample)
-    undc_cells = supervised_outputs(net, dataclasses.replace(sample, mode="undc"))
+    udf = ScalarGrid(dims, GridKind.UDF, np.abs(sample.grid.values))
+    undc_cells = supervised_outputs(net, dataclasses.replace(sample, grid=udf))
     assert np.all(undc_cells[ndc_cells])
     # some cell has a boundary crossing without a corner sign change is
     # rare on smooth scenes, but the superset claim must hold regardless
@@ -804,7 +807,7 @@ def test_all_96_transforms_keep_gt_consistency_and_round_trip():
     for t in range(NUM_TRANSFORMS):
         moved = augment_sample(sample, t)
         assert edge_equal(moved.gt_flags, xor_flags(moved.gt_signs)), t
-        back = augment_sample(moved, inverse_transform_id(t))
+        back = augment_sample(moved, inverse_id(t))
         assert np.array_equal(back.grid.values, sample.grid.values), t
         assert np.array_equal(back.gt_signs.inside, sample.gt_signs.inside), t
         # mirrored offset components go through 1 - x, which double rounding

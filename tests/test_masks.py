@@ -2,15 +2,17 @@
 
 vertex_band on OCC input and cloud_active_cells compute their masks
 with numpy shifts (grids.box_any, grids.dilate_cross); the filters of
-scipy.ndimage are the reference they must equal bit for bit.
+scipy.ndimage are the reference they must equal bit for bit. The
+dilation is checked at every reach from 0 to 4, and the point cloud's
+active cells at the one reach they use, ACTIVE_MANHATTAN.
 """
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from ndcmesh.datagen import cloud_active_cells
-from ndcmesh.grids import GridDims, GridKind, ScalarGrid
+from ndcmesh.datagen import ACTIVE_MANHATTAN, cloud_active_cells
+from ndcmesh.grids import GridDims, GridKind, ScalarGrid, dilate_cross
 from ndcmesh.mc_tables import CORNER_OFFSETS
 from ndcmesh.nn.network import vertex_band
 from ndcmesh.rng import rng_for
@@ -58,6 +60,14 @@ def test_occupancy_band_equals_the_max_min_filter_reference(shape):
 
 
 @pytest.mark.parametrize("shape", CELL_SHAPES)
+def test_cross_dilation_equals_the_binary_dilation_reference(shape):
+    for occ in masks(shape, 2):
+        for reach in range(5):
+            got = dilate_cross(occ, reach)
+            assert np.array_equal(got, reference_active_cells(occ, reach)), (occ.sum(), reach)
+
+
+@pytest.mark.parametrize("shape", CELL_SHAPES)
 def test_active_cells_equal_the_binary_dilation_reference(shape):
     dims = GridDims(*(s + 1 for s in shape))
     rng = rng_for(2, "cloud", *shape)
@@ -65,9 +75,8 @@ def test_active_cells_equal_the_binary_dilation_reference(shape):
         # two points anywhere inside each marked cell
         cells = np.repeat(np.argwhere(occ), 2, axis=0)
         cloud = cells + rng.random(cells.shape)
-        for reach in range(5):
-            got = cloud_active_cells(cloud, dims, reach)
-            assert np.array_equal(got, reference_active_cells(occ, reach)), (occ.sum(), reach)
+        got = cloud_active_cells(cloud, dims)
+        assert np.array_equal(got, reference_active_cells(occ, ACTIVE_MANHATTAN)), occ.sum()
 
 
 def test_points_outside_the_grid_dilate_from_the_nearest_border_cell():
@@ -75,6 +84,5 @@ def test_points_outside_the_grid_dilate_from_the_nearest_border_cell():
     cloud = np.array([[-3.0, 1.5, 9.0], [7.2, -0.5, 2.5]])
     occ = np.zeros(dims.cell_shape, dtype=bool)
     occ[0, 1, 3] = occ[4, 0, 2] = True
-    for reach in range(5):
-        assert np.array_equal(cloud_active_cells(cloud, dims, reach),
-                              reference_active_cells(occ, reach)), reach
+    assert np.array_equal(cloud_active_cells(cloud, dims),
+                          reference_active_cells(occ, ACTIVE_MANHATTAN))

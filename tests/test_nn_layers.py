@@ -281,7 +281,7 @@ def test_maxpool_gradients_match_finite_differences():
     rng = rng_for(25, "pool-fd")
     vals = 0.013 * rng.permutation(3 * 6 * 5).astype(np.float64)
     x = vals.reshape(3, 6, 5)
-    check_layer_gradients(MaxPoolAxis(axis=1), x, seed=205)
+    check_layer_gradients(MaxPoolAxis(), x, seed=205)
 
 
 def test_sequential_composite_gradients_match_finite_differences():
@@ -308,7 +308,7 @@ def test_layers_list_their_parameter_layers_in_order():
 
 
 def test_maxpool_routes_gradient_to_argmax_only():
-    pool = MaxPoolAxis(axis=1)
+    pool = MaxPoolAxis()
     x = np.array([[1.0, 5.0, 2.0], [7.0, 3.0, 4.0]])
     y = pool.forward(x)
     assert np.array_equal(y, [5.0, 7.0])

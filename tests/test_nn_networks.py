@@ -70,14 +70,15 @@ def test_point_network_backward_matches_finite_differences():
         layer.bias.value[:] = 0.3 * rng_for(41, "bias", i).standard_normal(layer.bias.value.shape)
     band = np.zeros(dims.cell_shape, dtype=bool)
     band[0, 1, :] = band[2, 2, 1] = True
+    nb = cloud_neighbors(cloud, dims)
     for out in (band, np.ones(dims.cell_shape, dtype=bool)):
         r = rng_for(41, "projection").standard_normal((3, int(out.sum())))
 
         def loss():
-            return float(np.sum(net.forward_logits(cloud, dims)[:, out] * r))
+            return float(np.sum(net.forward_logits(nb)[:, out] * r))
 
         net.zero_grad()
-        net.forward_rows(cloud, dims, out)
+        net.forward_rows(nb, out)
         net.backward_rows(r.copy())
         pick = rng_for(41, "entries")
         worst = 0.0
@@ -226,8 +227,8 @@ def dense_training_step(net, sample):
         np.add.at(gfeats, nb.cells, gcat[..., 3:])
         net.point_enc.backward(net.point_pool.backward(net.res.backward(gfeats)))
     else:
-        x = net.input_tensor(sample.grid)
-        loss, glogits = loss_and_gradient(net.forward_logits(x))
+        loss, glogits = loss_and_gradient(net.forward_logits(sample.grid))
+        x = sample.grid.values[None].astype(net.dtype)
         _, grads = dense_stack_backward(net.trunk, x, glogits)
     return loss, [g for layer in net.param_layers()
                   for g in grads.get(layer, (layer.weight.grad, layer.bias.grad))]
@@ -332,13 +333,8 @@ def volume_training_step(net, sample):
     net.zero_grad()
     used = supervised_outputs(net, sample)
     out = used.any(axis=0)
-    if net.variant == "pc_encoder":
-        at = out
-        rows = net.forward_rows(sample.cloud, sample.dims, out)
-    else:
-        x = net.input_tensor(sample.grid)
-        at = on_output_grid(out, x.shape[1:])
-        rows = net.forward_rows(x, out)
+    rows = net.forward_rows(network_input(sample), out)
+    at = out if net.variant == "pc_encoder" else on_output_grid(out, sample.dims.vertex_shape)
     logits = np.zeros((net.out_channels,) + at.shape, dtype=rows.dtype)
     logits[:, at] = rows
     loss, glogits = volume_head_loss(net, sample, logits, used)
@@ -395,7 +391,7 @@ def test_supervised_outputs_lie_within_the_outputs_predict_computes(kind, varian
                 net = PointNetwork(variant, channels=2)
             else:
                 net = GridNetwork(variant, channels=2)
-            inp = network_input(net, sample)
+            inp = network_input(sample)
             used = net.used_outputs(inp)[0]
             supervised = supervised_outputs(net, sample, inp)
             what = (res, seed)
@@ -500,7 +496,7 @@ def test_grid_predictions_equal_the_dense_pass_on_the_band_and_the_fill_elsewher
         for dtype in (np.float32, np.float64):
             net = random_biases(GridNetwork(variant, channels=5, seed=51, dtype=dtype), 51)
             for grid in grids[GridKind.OCC if net.input_kind == "occ" else GridKind.SDF]:
-                probs = sigmoid(net.forward_logits(net.input_tensor(grid)))
+                probs = sigmoid(net.forward_logits(grid))
                 want = expected_grid_output(net, grid, probs)
                 got = net.predict(grid)
                 if net.head == "sign":
@@ -523,7 +519,7 @@ def test_point_predictions_equal_the_dense_pass_on_active_cells_and_the_fill_els
             for dtype in (np.float32, np.float64):
                 net = random_biases(PointNetwork(head, channels=5, seed=52, dtype=dtype,
                                                  resblocks=1), 52)
-                probs = sigmoid(net.forward_logits(cloud, dims))
+                probs = sigmoid(net.forward_logits(cloud_neighbors(cloud, dims)))
                 want = np.where(active, probs, 0.5 if head == "vertex" else 0.0)
                 got = net.predict(cloud, dims)
                 if head == "vertex":
@@ -546,7 +542,7 @@ def test_non_finite_clouds_are_rejected_before_any_work():
     with pytest.raises(NonFiniteValues):
         net.predict(cloud, dims)
     with pytest.raises(NonFiniteValues):
-        net.forward_logits(cloud, dims)
+        cloud_neighbors(cloud, dims)
 
 
 def test_point_networks_share_a_clouds_neighborhoods():
@@ -555,7 +551,6 @@ def test_point_networks_share_a_clouds_neighborhoods():
     shared = cloud_neighbors(cloud, dims)
     for head in ("flag", "vertex"):
         net = random_biases(PointNetwork(head, channels=5, seed=54, resblocks=1), 54)
-        assert same_bits(net.forward_logits(shared, dims), net.forward_logits(cloud, dims))
         a, b = net.predict(shared, dims), net.predict(cloud, dims)
         for x, y in zip(a.axes if head == "flag" else [a.offsets],
                         b.axes if head == "flag" else [b.offsets]):
@@ -580,11 +575,7 @@ def cached_state(layer, path="net") -> list:
 
 def training_forward(net, sample, inp) -> None:
     """The forward half of train_step, which caches for backward_rows."""
-    out = supervised_outputs(net, sample, inp).any(axis=0)
-    if net.variant == "pc_encoder":
-        net.forward_rows(inp, sample.dims, out)
-    else:
-        net.forward_rows(net.input_tensor(inp), out)
+    net.forward_rows(inp, supervised_outputs(net, sample, inp).any(axis=0))
 
 
 def head_arrays(output) -> list:
@@ -596,7 +587,7 @@ def head_arrays(output) -> list:
 
 def test_predict_keeps_nothing_for_a_backward_pass():
     for net, sample in training_nets_and_samples(5, 59):
-        inp = network_input(net, sample)
+        inp = network_input(sample)
         args = (inp, sample.dims) if net.variant == "pc_encoder" else (inp,)
         first = net.predict(*args)
         assert cached_state(net) == [], net.variant
@@ -617,18 +608,17 @@ def test_grid_network_rows_reject_a_mask_off_the_heads_lattice():
     grid = ScalarGrid(dims, GridKind.SDF, np.full(dims.vertex_shape, 0.5))
     for variant in ("sdf_s", "sdf_v", "sdf_f"):
         net = GridNetwork(variant, channels=4, seed=57)
-        x = net.input_tensor(grid)
         wrong = dims.cell_shape if net.head == "sign" else dims.vertex_shape
         with pytest.raises(ShapeError):
-            net.forward_rows(x, np.ones(wrong, dtype=bool))
+            net.forward_rows(grid, np.ones(wrong, dtype=bool))
         with pytest.raises(ShapeError):
-            net.forward_rows(x, np.ones((9, 9), dtype=bool))
+            net.forward_rows(grid, np.ones((9, 9), dtype=bool))
 
 
 def test_point_network_rows_reject_a_mask_off_the_cell_lattice():
     dims = GridDims(8, 8, 8)
-    cloud = 1.0 + 6.0 * rng_for(57, "cloud").random((40, 3))
+    nb = cloud_neighbors(1.0 + 6.0 * rng_for(57, "cloud").random((40, 3)), dims)
     for head in ("flag", "vertex"):
         net = PointNetwork(head, channels=4, seed=57, resblocks=1)
         with pytest.raises(ShapeError):
-            net.forward_rows(cloud, dims, np.ones(dims.vertex_shape, dtype=bool))
+            net.forward_rows(nb, np.ones(dims.vertex_shape, dtype=bool))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ndcmesh.errors import NoConstraints
-from ndcmesh.qef import TRUNCATION_RATIO, qef_solve, qef_solve_batch
+from ndcmesh.qef import TRUNCATION_RATIO, qef_solve_svd
 from ndcmesh.rng import rng_for
 
 
@@ -32,13 +32,23 @@ def normal_equations_oracle(points, normals, bounds=None):
     return x
 
 
+UNIT_CELL = (np.zeros(3), np.ones(3))
+
+
+def solve_one(constraints, bounds=UNIT_CELL) -> np.ndarray:
+    """The position qef_solve_svd gives one set of (point, normal)
+    constraints, as a batch of one."""
+    points, normals = (np.asarray(side, dtype=np.float64)[None] for side in zip(*constraints))
+    return qef_solve_svd(points, normals, np.ones(points.shape[:2], dtype=bool), bounds)[0][0]
+
+
 def objective(points, normals, x) -> float:
     """Residual sum of squares of a candidate position."""
     return float(np.sum(np.einsum("nd,nd->n", normals, x - points) ** 2))
 
 
 def test_single_plane_returns_its_point():
-    x = qef_solve([((0.5, 0.5, 0.5), (0.0, 0.0, 1.0))])
+    x = solve_one([((0.5, 0.5, 0.5), (0.0, 0.0, 1.0))])
     assert np.allclose(x, (0.5, 0.5, 0.5), atol=1e-12)
 
 
@@ -47,7 +57,7 @@ def test_three_orthogonal_planes_recover_the_intersection():
     cons = [(target, (1.0, 0.0, 0.0)),
             (target, (0.0, 1.0, 0.0)),
             (target, (0.0, 0.0, 1.0))]
-    x = qef_solve(cons)
+    x = solve_one(cons)
     assert np.max(np.abs(x - np.asarray(target))) < 1e-6
 
 
@@ -55,7 +65,7 @@ def test_two_planes_resolve_the_free_direction_to_the_mass_point():
     # planes x=0.2 and y=0.7 leave z free; the anchor supplies z
     cons = [((0.2, 0.1, 0.1), (1.0, 0.0, 0.0)),
             ((0.9, 0.7, 0.9), (0.0, 1.0, 0.0))]
-    x = qef_solve(cons)
+    x = solve_one(cons)
     assert x[0] == pytest.approx(0.2, abs=1e-9)
     assert x[1] == pytest.approx(0.7, abs=1e-9)
     assert x[2] == pytest.approx(0.5, abs=1e-9)  # mean of 0.1 and 0.9
@@ -63,10 +73,11 @@ def test_two_planes_resolve_the_free_direction_to_the_mass_point():
 
 def test_empty_constraints_raise():
     with pytest.raises(NoConstraints):
-        qef_solve([])
+        qef_solve_svd(np.zeros((1, 0, 3)), np.zeros((1, 0, 3)), np.zeros((1, 0), dtype=bool),
+                      UNIT_CELL)
     with pytest.raises(NoConstraints):
-        qef_solve_batch(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)),
-                        np.zeros((1, 2), dtype=bool))
+        qef_solve_svd(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), np.zeros((1, 2), dtype=bool),
+                      UNIT_CELL)
 
 
 def test_noisy_planes_match_the_normal_equations_oracle():
@@ -76,7 +87,7 @@ def test_noisy_planes_match_the_normal_equations_oracle():
         normals = rng.normal(size=(n, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         points = rng.uniform(0.0, 1.0, size=(n, 3))
-        got = qef_solve(list(zip(points, normals)), cell_bounds=None)
+        got = solve_one(list(zip(points, normals)), bounds=None)
         want = normal_equations_oracle(points, normals)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -85,7 +96,7 @@ def test_solution_clamped_to_cell_bounds():
     # two steep planes whose intersection line sits far outside the cell
     cons = [((0.5, 0.5, 0.5), (1.0, 0.0, 0.0)),
             ((4.0, 0.5, 0.5), (np.sqrt(0.5), np.sqrt(0.5), 0.0))]
-    x = qef_solve(cons)
+    x = solve_one(cons)
     assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
 
@@ -98,7 +109,7 @@ def test_never_worse_than_the_clipped_mass_point():
         normals = np.divide(normals, norms, out=np.zeros_like(normals), where=norms > 0)
         points = rng.uniform(-0.5, 1.5, size=(n, 3))
         cons = list(zip(points, normals))
-        x = qef_solve(cons)
+        x = solve_one(cons)
         anchor = np.clip(points.mean(axis=0), 0.0, 1.0)
         assert objective(points, normals, x) <= objective(points, normals, anchor) + 1e-9
 
@@ -111,9 +122,9 @@ def test_batch_and_single_solves_agree():
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     valid = rng.random((b, n)) < 0.7
     valid[:, 0] = True
-    batch = qef_solve_batch(points, normals, valid)
+    batch = qef_solve_svd(points, normals, valid, UNIT_CELL)[0]
     for i in range(b):
-        single = qef_solve(list(zip(points[i][valid[i]], normals[i][valid[i]])))
+        single = solve_one(list(zip(points[i][valid[i]], normals[i][valid[i]])))
         assert np.max(np.abs(batch[i] - single)) < 1e-12
 
 
@@ -122,6 +133,6 @@ def test_duplicate_constraints_do_not_move_the_answer():
     base = [(target, (1.0, 0.0, 0.0)),
             (target, (0.0, 1.0, 0.0)),
             (target, (0.0, 0.0, 1.0))]
-    x1 = qef_solve(base)
-    x2 = qef_solve(base * 3)
+    x1 = solve_one(base)
+    x2 = solve_one(base * 3)
     assert np.allclose(x1, x2, atol=1e-9)
