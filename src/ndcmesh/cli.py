@@ -9,12 +9,19 @@ Subcommands:
   eval   compare a predicted mesh against a ground-truth mesh
   stats  edge-topology statistics of a mesh file
 
-`gen` writes each sample's input grid or cloud and its ground-truth
-signs, flags and vertex offsets to DATA/sample_NNN/. `train` reads those
-files back, so it learns from exactly the values `infer` and `mesh` read.
-Each (dataset kind, head) pair has one network, named by the stem of its
-weights file (HEAD_STEMS): `train` writes DATA/<stem>.ndcw, and `mesh`
-predicts with exactly that file or, without it, reads the ground truth.
+A dataset directory DATA holds MANIFEST_NAME, the weights `train` writes
+and, per sample, DATA/sample_NNN/ with these files from `gen`:
+
+  INPUT_NAME    the input grid (read as the dataset's kind), or
+  CLOUD_NAME    the input point cloud
+  HEAD_FILES    per head, its ground truth: signs, edge flags or offsets
+  GT_MESH_NAME  the mesh extracted from that ground truth
+
+`train` reads them back, so it learns from exactly the values `infer`
+and `mesh` read. Each (dataset kind, head) pair has one network, named
+by the stem of its weights file (HEAD_STEMS): `train` writes
+DATA/<stem>.ndcw, and `mesh` predicts with exactly that file or, without
+it, reads the ground truth.
 
 Exit codes: 0 success, 1 usage error (including numbers outside an
 option's range), 2 data error (bad files, missing inputs, diverged
@@ -45,7 +52,7 @@ from .errors import NdcMeshError
 from .grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
                     VertexOffsetGrid)
 from .mc import mc_extract
-from .mesh import QuadMesh, TriMesh, edge_topology_stats, split_quads
+from .mesh import QuadMesh, edge_topology_stats, split_quads
 from .metrics import evaluate_mesh
 from .ndc import close_holes, ndc_extract, undc_extract
 from .nn import TrainConfig, cloud_neighbors, train_network
@@ -53,6 +60,9 @@ from .nn.network import BAND_WIDTH
 from .rng import derive_seed
 
 MANIFEST_NAME = "manifest.txt"
+INPUT_NAME = "input.ndcg"
+CLOUD_NAME = "cloud.xyz"
+GT_MESH_NAME = "gt_mesh.obj"
 
 # CLI spellings for network inputs and heads
 KIND_NAMES = {"sdf": GridKind.SDF, "udf": GridKind.UDF,
@@ -66,6 +76,12 @@ HEAD_STEMS = {("sdf", "sign"): "sdf_s", ("sdf", "vertex"): "sdf_v",
               ("udf", "flag"): "sdf_f", ("voxel", "sign"): "vox_s",
               ("voxel", "vertex"): "vox_v", ("voxel", "flag"): "vox_f",
               ("points", "vertex"): "pc_v", ("points", "flag"): "pc_f"}
+# per head: the TrainingSample field of its ground truth, the file that
+# holds it, the type stored there, and the suffix of `infer`'s prediction
+HEAD_FILES = {"sign": ("gt_signs", "gt_signs.ndcg", SignGrid, "_signs.ndcg"),
+              "flag": ("gt_flags", "gt_flags.ndcg", EdgeField, "_flags.ndcg"),
+              "vertex": ("gt_offsets", "gt_vertices.ndcg", VertexOffsetGrid,
+                         "_vertices.ndcg")}
 
 
 class UsageError(Exception):
@@ -107,46 +123,32 @@ def _csg_scene(manifest: dict, index: int):
     return random_scene(scene_seed, float(int(manifest["res"]) - 1))
 
 
-def _read_grid(path: str, cls, what: str, kind: GridKind = GridKind.SDF):
+def _read_grid(path: str, cls, kind: GridKind = GridKind.SDF):
     """Read an NDCGRID file that must hold a `cls`."""
     obj = fileio.read_grid(path, kind)
     if not isinstance(obj, cls):
-        raise NdcMeshError(
-            f"{path} holds {type(obj).__name__}, expected {cls.__name__} for {what}")
+        raise NdcMeshError(f"{path} holds {type(obj).__name__}, expected {cls.__name__}")
     return obj
+
+
+def _read_input(sdir: str, manifest: dict) -> ScalarGrid:
+    """A sample's input grid, read as the dataset's kind."""
+    return _read_grid(os.path.join(sdir, INPUT_NAME), ScalarGrid, KIND_NAMES[manifest["kind"]])
 
 
 def _load_samples(data: str, manifest: dict) -> list:
     """The TrainingSamples `gen` wrote to `data`."""
     dims = _manifest_dims(manifest)
-    kind = KIND_NAMES[manifest["kind"]]
+    points = manifest["kind"] == "points"
     samples = []
     for i in range(int(manifest["count"])):
         sdir = _sample_dir(data, i)
-        grid = cloud = None
-        if kind == "points":
-            cloud = fileio.read_xyz(os.path.join(sdir, "cloud.xyz"))
-        else:
-            grid = _read_grid(os.path.join(sdir, "input.ndcg"), ScalarGrid,
-                              "an input grid", kind)
         samples.append(TrainingSample(
-            dims, grid, cloud,
-            _read_grid(os.path.join(sdir, "gt_signs.ndcg"), SignGrid, "signs"),
-            _read_grid(os.path.join(sdir, "gt_flags.ndcg"), EdgeField, "edge flags"),
-            _read_grid(os.path.join(sdir, "gt_vertices.ndcg"), VertexOffsetGrid,
-                       "vertex offsets")))
+            dims, None if points else _read_input(sdir, manifest),
+            fileio.read_xyz(os.path.join(sdir, CLOUD_NAME)) if points else None,
+            **{field: _read_grid(os.path.join(sdir, name), cls)
+               for field, name, cls, _ in HEAD_FILES.values()}))
     return samples
-
-
-def _as_tri(mesh) -> TriMesh:
-    """Deterministic quad split for metric evaluation."""
-    if isinstance(mesh, TriMesh):
-        return mesh
-    return TriMesh(mesh.vertices, mesh.quads[:, [0, 1, 2, 0, 2, 3]])
-
-
-def _face_count(mesh) -> int:
-    return len(mesh.tris) if isinstance(mesh, TriMesh) else len(mesh.quads)
 
 
 def _cloud_neighbors_of(cloud_path: str):
@@ -157,35 +159,33 @@ def _cloud_neighbors_of(cloud_path: str):
         lambda res: cloud_neighbors(fileio.read_xyz(cloud_path), GridDims(res, res, res)))
 
 
-def _predict(net, grid_path: str, neighbors, res: int, kind):
-    """Run a loaded network on a stored grid (read as `kind`, or if None
-    as the network's own input kind) or, for a point network, on a stored
+def _predict(net, read_input, neighbors, res: int):
+    """Run a loaded network on the grid `read_input(kind)` returns, given
+    the network's own input kind, or, for a point network, on a stored
     cloud's neighborhoods (`neighbors`, see _cloud_neighbors_of)."""
     if net.variant == "pc_encoder":
         return net.predict(neighbors(res), GridDims(res, res, res))
-    if kind is None:
-        kind = GridKind.OCC if net.input_kind == "occ" else GridKind.SDF
-    return net.predict(fileio.read_grid(grid_path, kind))
+    return net.predict(read_input(GridKind(net.input_kind)))
 
 
-def _resolve_field(explicit, data: str, sdir: str, head: str, gt_name: str,
-                   cls, what: str, neighbors):
+def _resolve_field(explicit, data: str, sdir: str, head: str, neighbors):
     """Load a prediction field: explicit file > the weights `train` writes
     for the dataset's kind and this head (HEAD_STEMS) > GT file.
     `neighbors` gives the sample cloud's neighborhoods (_cloud_neighbors_of)."""
+    _, gt_name, cls, _ = HEAD_FILES[head]
     if explicit:
-        return _read_grid(explicit, cls, what)
+        return _read_grid(explicit, cls)
     manifest = _load_manifest(data)
     kind = manifest["kind"]
     if (kind, head) in HEAD_STEMS:
         wpath = os.path.join(data, HEAD_STEMS[kind, head] + ".ndcw")
         if os.path.exists(wpath):
-            return _predict(fileio.load_weights(wpath), os.path.join(sdir, "input.ndcg"),
-                            neighbors, int(manifest["res"]), KIND_NAMES[kind])
+            return _predict(fileio.load_weights(wpath), lambda _: _read_input(sdir, manifest),
+                            neighbors, int(manifest["res"]))
     gt_path = os.path.join(sdir, gt_name)
     if os.path.exists(gt_path):
-        return _read_grid(gt_path, cls, what)
-    raise FileNotFoundError(f"no {what}: pass a file, or train a {head} head")
+        return _read_grid(gt_path, cls)
+    raise FileNotFoundError(f"no {head} field: pass a file, or train a {head} head")
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +216,18 @@ def cmd_gen(args) -> None:
         sdir = _sample_dir(args.out, i)
         os.makedirs(sdir, exist_ok=True)
         if sample.grid is not None:
-            fileio.write_grid(os.path.join(sdir, "input.ndcg"), sample.grid)
+            fileio.write_grid(os.path.join(sdir, INPUT_NAME), sample.grid)
         if sample.cloud is not None:
-            fileio.write_xyz(os.path.join(sdir, "cloud.xyz"), sample.cloud)
-        fileio.write_grid(os.path.join(sdir, "gt_signs.ndcg"), sample.gt_signs)
-        fileio.write_grid(os.path.join(sdir, "gt_flags.ndcg"), sample.gt_flags)
-        fileio.write_grid(os.path.join(sdir, "gt_vertices.ndcg"), sample.gt_offsets)
+            fileio.write_xyz(os.path.join(sdir, CLOUD_NAME), sample.cloud)
+        for field, name, _, _ in HEAD_FILES.values():
+            fileio.write_grid(os.path.join(sdir, name), getattr(sample, field))
         if sample.mode == "ndc":
             gt_mesh = ndc_extract(sample.gt_signs, sample.gt_offsets)
         else:
             gt_mesh = undc_extract(sample.gt_flags, sample.gt_offsets)
-        fileio.write_obj(os.path.join(sdir, "gt_mesh.obj"), gt_mesh)
+        fileio.write_obj(os.path.join(sdir, GT_MESH_NAME), gt_mesh)
         print(f"sample {i}: {len(gt_mesh.vertices)} gt vertices, "
-              f"{_face_count(gt_mesh)} gt faces -> {sdir}")
+              f"{len(gt_mesh.faces)} gt faces -> {sdir}")
 
 
 def cmd_train(args) -> None:
@@ -261,8 +260,6 @@ def cmd_train(args) -> None:
 def cmd_infer(args) -> None:
     if not args.grid and not args.cloud:
         raise UsageError("pass --grid FILE or --cloud FILE")
-    suffix = {"sign": "_signs.ndcg", "vertex": "_vertices.ndcg",
-              "flag": "_flags.ndcg"}
     neighbors = _cloud_neighbors_of(args.cloud)
     for wpath in args.weights:
         net = fileio.load_weights(wpath)
@@ -273,8 +270,10 @@ def cmd_infer(args) -> None:
                 raise UsageError("--res is required with --cloud")
         elif not args.grid:
             raise UsageError(f"{wpath} is a grid network; pass --grid")
-        pred = _predict(net, args.grid, neighbors, args.res, KIND_NAMES.get(args.grid_kind))
-        out = args.out_prefix + suffix[net.head]
+        pred = _predict(net, lambda kind: fileio.read_grid(
+            args.grid, KIND_NAMES.get(args.grid_kind, kind)), neighbors, args.res)
+        *_, suffix = HEAD_FILES[net.head]
+        out = args.out_prefix + suffix
         fileio.write_grid(out, pred)
         print(f"{net.variant}/{net.head} -> {out}")
 
@@ -283,13 +282,13 @@ def cmd_mesh(args) -> None:
     sdir = _sample_dir(args.data, args.sample)
     out = args.out or os.path.join(args.data, f"mesh_{args.mode}.obj")
     # a point network's input: read, and its neighborhoods found, once
-    neighbors = _cloud_neighbors_of(os.path.join(sdir, "cloud.xyz"))
+    neighbors = _cloud_neighbors_of(os.path.join(sdir, CLOUD_NAME))
 
+    if args.close_holes and args.mode != "undc":
+        print("note: --close-holes only applies to undc", file=sys.stderr)
     if args.mode in ("dc", "dc-est", "mc"):
-        if args.close_holes:
-            print("note: --close-holes only applies to undc", file=sys.stderr)
-        grid = _read_grid(args.sdf or os.path.join(sdir, "input.ndcg"),
-                          ScalarGrid, "a scalar grid")
+        grid = (_read_grid(args.sdf, ScalarGrid) if args.sdf
+                else _read_input(sdir, _load_manifest(args.data)))
         if args.mode == "mc":
             mesh = mc_extract(grid, args.iso)
         elif args.mode == "dc-est":
@@ -303,20 +302,12 @@ def cmd_mesh(args) -> None:
             scene = _csg_scene(manifest, args.sample)
             mesh = dc_extract(grid, csg_normal_fn(scene), args.iso)
     elif args.mode == "ndc":
-        if args.close_holes:
-            print("note: --close-holes only applies to undc", file=sys.stderr)
-        signs = _resolve_field(args.signs, args.data, sdir, "sign",
-                               "gt_signs.ndcg", SignGrid, "a sign grid", neighbors)
-        offsets = _resolve_field(args.offsets, args.data, sdir, "vertex",
-                                 "gt_vertices.ndcg", VertexOffsetGrid,
-                                 "vertex offsets", neighbors)
+        signs = _resolve_field(args.signs, args.data, sdir, "sign", neighbors)
+        offsets = _resolve_field(args.offsets, args.data, sdir, "vertex", neighbors)
         mesh = ndc_extract(signs, offsets)
     else:  # undc
-        flags = _resolve_field(args.flags, args.data, sdir, "flag",
-                               "gt_flags.ndcg", EdgeField, "edge flags", neighbors)
-        offsets = _resolve_field(args.offsets, args.data, sdir, "vertex",
-                                 "gt_vertices.ndcg", VertexOffsetGrid,
-                                 "vertex offsets", neighbors)
+        flags = _resolve_field(args.flags, args.data, sdir, "flag", neighbors)
+        offsets = _resolve_field(args.offsets, args.data, sdir, "vertex", neighbors)
         if args.close_holes:
             flags = close_holes(flags)
         mesh = undc_extract(flags, offsets)
@@ -325,15 +316,14 @@ def cmd_mesh(args) -> None:
         mesh = split_quads(mesh, args.tri_seed)
     fileio.write_mesh(out, mesh)
     print(f"{args.mode}: {len(mesh.vertices)} vertices, "
-          f"{_face_count(mesh)} faces -> {out}")
+          f"{len(mesh.faces)} faces -> {out}")
 
 
 def cmd_eval(args) -> None:
     pred_path = args.pred or os.path.join(args.data, "mesh_ndc.obj")
-    gt_path = args.gt or os.path.join(_sample_dir(args.data, args.sample),
-                                      "gt_mesh.obj")
-    pred = _as_tri(fileio.read_mesh(pred_path))
-    gt = _as_tri(fileio.read_mesh(gt_path))
+    gt_path = args.gt or os.path.join(_sample_dir(args.data, args.sample), GT_MESH_NAME)
+    pred = fileio.as_tri_mesh(*fileio.read_faces(pred_path))
+    gt = fileio.as_tri_mesh(*fileio.read_faces(gt_path))
     report = evaluate_mesh(pred, gt, samples=args.samples,
                            seed=derive_seed(args.seed, "eval"))
     values = report.as_dict()
@@ -354,7 +344,7 @@ def cmd_stats(args) -> None:
     mesh = fileio.read_mesh(args.mesh)
     st = edge_topology_stats(mesh)
     values = {
-        "v_count": len(mesh.vertices), "f_count": _face_count(mesh),
+        "v_count": len(mesh.vertices), "f_count": len(mesh.faces),
         "edge_count": st.edge_count, "boundary": st.boundary,
         "manifold": st.manifold, "nonmanifold3": st.nonmanifold3,
         "nonmanifold4": st.nonmanifold4,

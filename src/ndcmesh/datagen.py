@@ -107,19 +107,18 @@ def sample_csg_grid(shape: CsgShape, dims: GridDims, kind: GridKind = GridKind.S
 # exact edge data
 
 
-def _csg_edge_data(shape: CsgShape, dims: GridDims):
-    vals = _sample_lattice(shape, dims.vertex_shape)
+def _csg_edge_data(shape: CsgShape, dims: GridDims, inside: np.ndarray):
     flags = EdgeField.full(dims, False, bool)
     tvals = EdgeField.full(dims, np.nan, np.float64)
     normals = EdgeField.full(dims, np.nan, np.float64, trailing=(3,))
     for axis in range(3):
-        va, vb = edge_ends(vals, axis)
-        cross = (va < 0) ^ (vb < 0)
+        a_in, b_in = edge_ends(inside, axis)
+        cross = a_in ^ b_in
         flags.axis(axis)[...] = cross
         if not np.any(cross):
             continue
         base = np.argwhere(cross).astype(np.float64)
-        a_in = (va < 0)[cross]
+        a_in = a_in[cross]
         lo = np.zeros(len(base))
         hi = np.ones(len(base))
         direction = np.zeros((1, 3))
@@ -282,12 +281,14 @@ def gt_edge_data(source: CsgShape | TriMesh, dims: GridDims, inside: np.ndarray 
     intersect every lattice line with every triangle and take the face
     normal. Where a mesh meets an edge more than once, the intersection
     nearest the edge's inside endpoint wins, else the one nearest its
-    lower endpoint. `inside` holds the lattice signs of a mesh when the
-    caller has them; without it, a watertight mesh's parity signs are
-    computed here and an open mesh has none.
+    lower endpoint. `inside` holds the lattice signs when the caller has
+    them; without it, a CSG scene's are sampled here, a watertight mesh's
+    parity signs are computed here and an open mesh has none.
     """
     if isinstance(source, CsgShape):
-        return _csg_edge_data(source, dims)
+        if inside is None:
+            inside = _sample_lattice(source, dims.vertex_shape) < 0
+        return _csg_edge_data(source, dims, inside)
     if isinstance(source, TriMesh):
         if inside is None and edge_topology_stats(source).closed:
             inside = _mesh_parity_inside(source, dims)
@@ -635,9 +636,9 @@ def make_training_sample(
         kind = GridKind(kind) if isinstance(kind, str) else kind
 
     if isinstance(source, CsgShape):
-        flags, tvals, normals = gt_edge_data(source, dims)
         sdf = sample_csg_grid(source, dims, GridKind.SDF)
         gt_signs = signs_from_scalar(sdf)
+        flags, tvals, normals = gt_edge_data(source, dims, gt_signs.inside)
         if wants_cloud:
             grid = None
         elif kind == GridKind.SDF:

@@ -1,28 +1,31 @@
 """File formats: OBJ/PLY meshes, NDCGRID grids, NDCW weights, reports.
 
-NDCGRID is the shared binary grid format: magic "NDCG", version byte
-0x01, little-endian u32 dims m,n,k, a payload code byte, then the
-payload with x varying fastest, y next, z slowest. Reals are 32-bit
-IEEE little-endian. Payload codes:
+Each binary format has one header struct, and NDCGRID one payload table
+(_PAYLOADS), that its reader and its writer share.
 
-  0  f32 scalar per vertex        (ScalarGrid; occupancy stores its
-                                   cell values anchored at min corners)
-  1  u8 per vertex                (SignGrid / vertex masks; 1 = inside)
-  2  f32 x 3 per cell             (VertexOffsetGrid; 3 components
-                                   contiguous per cell)
-  3  u8 per edge, x/y/z blocks    (boolean EdgeField)
-  4  f32 per edge, x/y/z blocks   (real EdgeField, e.g. crossing t)
+NDCGRID header "<4sB3IB": magic "NDCG", version 1, u32 dims m, n, k and
+a payload code. The payload is one or three blocks, each stored with its
+first index fastest (x, then y, then z):
 
-NDCW stores network weights: magic "NDCW", version 0x01, variant and
-head code bytes, u32 channels, u8 residual block count, u16 layer
-count, then per parametric layer a header (kind byte, u32 in, u32 out,
-kernel byte) followed by f32 weights in (out, in, kz, ky, kx) order and
-f32 biases. Non-finite weights raise NonFiniteValues on save and on load.
+  code  stored  blocks          object
+  0     f32     vertices        ScalarGrid (occupancy stores its cell
+                                values anchored at min corners)
+  1     u8      vertices        SignGrid / vertex masks (1 = inside)
+  2     f32     (3,) + cells    VertexOffsetGrid, components contiguous
+  3     u8      x, y, z edges   boolean EdgeField
+  4     f32     x, y, z edges   real EdgeField, e.g. crossing t
+
+NDCW header "<4sBBBIBH": magic "NDCW", version 1, variant code, head
+code, u32 channels, u8 residual block count, u16 layer count. Each
+parametric layer follows as a header "<BIIB" (kind code, u32 in, u32
+out, kernel), f32 weights in (out, in, kz, ky, kx) order and f32 biases.
+Non-finite weights raise NonFiniteValues on save and on load.
 
 Precision: OBJ vertices and .xyz points are text with 9 significant
 digits; NDCGRID reals and PLY vertices are float32. Readers return
-float64 arrays of those stored values. Training learns from what `gen`
-stored, so it sees the same numbers that inference and meshing read.
+float64 arrays of those stored values, and bool for u8 payloads.
+Training learns from what `gen` stored, so it sees the same numbers that
+inference and meshing read.
 """
 
 import math
@@ -40,6 +43,10 @@ GRID_MAGIC = b"NDCG"
 GRID_VERSION = 1
 WEIGHTS_MAGIC = b"NDCW"
 WEIGHTS_VERSION = 1
+
+_GRID_HEADER = struct.Struct("<4sB3IB")
+_WEIGHTS_HEADER = struct.Struct("<4sBBBIBH")
+_LAYER_HEADER = struct.Struct("<BIIB")
 
 PAYLOAD_SCALAR = 0
 PAYLOAD_SIGNS = 1
@@ -59,7 +66,7 @@ _LAYER_KINDS = {3: 1, 1: 2, 0: 3}
 # ---------------------------------------------------------------- OBJ
 
 def write_obj(path, mesh: QuadMesh | TriMesh) -> None:
-    faces = mesh.quads if isinstance(mesh, QuadMesh) else mesh.tris
+    faces = mesh.faces
     vertex_rows = "v %.9g %.9g %.9g\n" * len(mesh.vertices)
     face_rows = ("f" + " %d" * faces.shape[1] + "\n") * len(faces)
     with open(path, "w") as fh:
@@ -135,30 +142,18 @@ def as_tri_mesh(vertices: np.ndarray, faces: list) -> TriMesh:
     return TriMesh(vertices, flat[first[:, None] + corners])
 
 
-def as_quad_mesh(vertices: np.ndarray, faces: list) -> QuadMesh:
-    if any(len(f) != 4 for f in faces):
-        raise ShapeError("mesh has non-quad faces")
-    quads = np.array(faces, dtype=np.int64).reshape(-1, 4)
-    return QuadMesh(vertices, quads)
-
-
 def as_mesh(vertices: np.ndarray, faces: list):
     """QuadMesh if every face is a quad (and there is one), else TriMesh."""
     if faces and all(len(f) == 4 for f in faces):
-        return as_quad_mesh(vertices, faces)
+        return QuadMesh(vertices, np.array(faces, dtype=np.int64))
     return as_tri_mesh(vertices, faces)
-
-
-def read_obj_mesh(path):
-    """TriMesh or QuadMesh depending on the face types in the file."""
-    return as_mesh(*read_obj(path)[:2])
 
 
 # ---------------------------------------------------------------- PLY
 
 def write_ply(path, mesh: QuadMesh | TriMesh) -> None:
     """Binary little-endian PLY with positions and faces only."""
-    faces = mesh.quads if isinstance(mesh, QuadMesh) else mesh.tris
+    faces = mesh.faces
     header = (
         "ply\nformat binary_little_endian 1.0\n"
         f"element vertex {len(mesh.vertices)}\n"
@@ -228,51 +223,57 @@ def write_mesh(path, mesh) -> None:
         write_obj(path, mesh)
 
 
-def read_mesh(path):
+def read_faces(path):
+    """(vertices, faces) of a .ply file or, for any other extension, an OBJ."""
     if str(path).lower().endswith(".ply"):
-        return as_mesh(*read_ply(path))
-    return read_obj_mesh(path)
+        return read_ply(path)
+    return read_obj(path)[:2]
+
+
+def read_mesh(path):
+    """TriMesh or QuadMesh depending on the face types in the file."""
+    return as_mesh(*read_faces(path))
 
 
 # ------------------------------------------------------------ NDCGRID
 
-def _xfirst(arr: np.ndarray) -> np.ndarray:
-    """Serialize with x fastest (first index fastest)."""
-    return np.asfortranarray(arr).ravel(order="F")
+def _edge_shapes(dims: GridDims) -> list:
+    return [dims.edge_shape(a) for a in range(3)]
 
 
-def _from_xfirst(buf: np.ndarray, shape) -> np.ndarray:
-    return buf.reshape(shape, order="F")
+# code: (stored dtype, block shapes of dims d, the object of d, kind and blocks b)
+_PAYLOADS = {
+    PAYLOAD_SCALAR: ("<f4", lambda d: [d.vertex_shape],
+                     lambda d, kind, b: ScalarGrid(d, kind, *b)),
+    PAYLOAD_SIGNS: ("u1", lambda d: [d.vertex_shape], lambda d, kind, b: SignGrid(d, *b)),
+    PAYLOAD_OFFSETS: ("<f4", lambda d: [(3,) + d.cell_shape],
+                      lambda d, kind, b: VertexOffsetGrid(d, np.moveaxis(b[0], 0, 3))),
+    PAYLOAD_FLAGS: ("u1", _edge_shapes, lambda d, kind, b: EdgeField(d, *b)),
+    PAYLOAD_EDGE_REALS: ("<f4", _edge_shapes, lambda d, kind, b: EdgeField(d, *b)),
+}
+
+
+def _grid_payload(obj) -> tuple:
+    """(payload code, blocks) of a grid object."""
+    if isinstance(obj, ScalarGrid):
+        return PAYLOAD_SCALAR, [obj.values]
+    if isinstance(obj, SignGrid):
+        return PAYLOAD_SIGNS, [obj.inside]
+    if isinstance(obj, VertexOffsetGrid):
+        return PAYLOAD_OFFSETS, [np.moveaxis(obj.offsets, 3, 0)]
+    if isinstance(obj, EdgeField):
+        blocks = [np.asarray(a) for a in obj.axes]
+        return (PAYLOAD_FLAGS if blocks[0].dtype == bool else PAYLOAD_EDGE_REALS), blocks
+    raise TypeError(f"cannot serialize {type(obj).__name__} as a grid")
 
 
 def write_grid(path, obj) -> None:
-    dims = obj.dims
-    if isinstance(obj, ScalarGrid):
-        code = PAYLOAD_SCALAR
-        payload = _xfirst(obj.values).astype("<f4").tobytes()
-    elif isinstance(obj, SignGrid):
-        code = PAYLOAD_SIGNS
-        payload = _xfirst(obj.inside).astype(np.uint8).tobytes()
-    elif isinstance(obj, VertexOffsetGrid):
-        code = PAYLOAD_OFFSETS
-        comps = np.moveaxis(obj.offsets, 3, 0)  # (3, cx, cy, cz), comp fastest
-        payload = comps.ravel(order="F").astype("<f4").tobytes()
-    elif isinstance(obj, EdgeField):
-        arrays = [np.asarray(obj.axis(a)) for a in range(3)]
-        if arrays[0].dtype == bool:
-            code = PAYLOAD_FLAGS
-            payload = b"".join(_xfirst(a).astype(np.uint8).tobytes() for a in arrays)
-        else:
-            code = PAYLOAD_EDGE_REALS
-            payload = b"".join(_xfirst(a).astype("<f4").tobytes() for a in arrays)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} as a grid")
+    code, blocks = _grid_payload(obj)
+    dtype = _PAYLOADS[code][0]
     with open(path, "wb") as fh:
-        fh.write(GRID_MAGIC)
-        fh.write(bytes([GRID_VERSION]))
-        fh.write(struct.pack("<III", *dims.vertex_shape))
-        fh.write(bytes([code]))
-        fh.write(payload)
+        fh.write(_GRID_HEADER.pack(GRID_MAGIC, GRID_VERSION, *obj.dims.vertex_shape, code))
+        for block in blocks:
+            fh.write(block.astype(dtype).tobytes(order="F"))
 
 
 def read_grid(path, kind: GridKind = GridKind.SDF):
@@ -284,51 +285,30 @@ def read_grid(path, kind: GridKind = GridKind.SDF):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 18:
+    if len(data) < _GRID_HEADER.size:
         raise TruncatedPayload(f"{path}: file shorter than any valid header")
-    if data[:4] != GRID_MAGIC:
-        raise BadMagic(f"{path}: magic {data[:4]!r} is not {GRID_MAGIC!r}")
-    if data[4] != GRID_VERSION:
-        raise BadVersion(f"{path}: version {data[4]} (expected {GRID_VERSION})")
-    m, n, k = struct.unpack_from("<III", data, 5)
-    code = data[17]
+    magic, version, m, n, k, code = _GRID_HEADER.unpack_from(data)
+    if magic != GRID_MAGIC:
+        raise BadMagic(f"{path}: magic {magic!r} is not {GRID_MAGIC!r}")
+    if version != GRID_VERSION:
+        raise BadVersion(f"{path}: version {version} (expected {GRID_VERSION})")
     dims = GridDims(m, n, k)
-    body = data[18:]
-
-    def take(count, dtype):
-        item = np.dtype(dtype).itemsize
-        if len(body) < count * item:
-            raise TruncatedPayload(
-                f"{path}: payload needs {count * item} bytes, has {len(body)}")
-        if len(body) > count * item:
-            raise GridFormatError(
-                f"{path}: {len(body) - count * item} unexpected trailing bytes")
-        return np.frombuffer(body, dtype=dtype, count=count)
-
-    if code == PAYLOAD_SCALAR:
-        vals = take(dims.vertex_count, "<f4").astype(np.float64)
-        return ScalarGrid(dims, kind, _from_xfirst(vals, dims.vertex_shape))
-    if code == PAYLOAD_SIGNS:
-        vals = take(dims.vertex_count, np.uint8)
-        return SignGrid(dims, _from_xfirst(vals, dims.vertex_shape).astype(bool))
-    if code == PAYLOAD_OFFSETS:
-        vals = take(3 * dims.cell_count, "<f4").astype(np.float64)
-        comps = _from_xfirst(vals, (3,) + dims.cell_shape)
-        return VertexOffsetGrid(dims, np.moveaxis(comps, 0, 3))
-    if code in (PAYLOAD_FLAGS, PAYLOAD_EDGE_REALS):
-        dtype = np.uint8 if code == PAYLOAD_FLAGS else np.dtype("<f4")
-        counts = [int(np.prod(dims.edge_shape(a))) for a in range(3)]
-        vals = take(sum(counts), dtype)
-        parts = []
-        ofs = 0
-        for a in range(3):
-            block = vals[ofs:ofs + counts[a]]
-            ofs += counts[a]
-            arr = _from_xfirst(block, dims.edge_shape(a))
-            parts.append(arr.astype(bool) if code == PAYLOAD_FLAGS
-                         else arr.astype(np.float64))
-        return EdgeField(dims, *parts)
-    raise GridFormatError(f"{path}: unknown payload code {code}")
+    if code not in _PAYLOADS:
+        raise GridFormatError(f"{path}: unknown payload code {code}")
+    dtype, shapes_of, build = _PAYLOADS[code]
+    shapes = shapes_of(dims)
+    sizes = [math.prod(shape) for shape in shapes]
+    need = sum(sizes) * np.dtype(dtype).itemsize
+    have = len(data) - _GRID_HEADER.size
+    if have < need:
+        raise TruncatedPayload(f"{path}: payload needs {need} bytes, has {have}")
+    if have > need:
+        raise GridFormatError(f"{path}: {have - need} unexpected trailing bytes")
+    values = np.frombuffer(data, dtype, sum(sizes), _GRID_HEADER.size)
+    values = values.astype(bool if dtype == "u1" else np.float64)
+    blocks = [block.reshape(shape, order="F")
+              for block, shape in zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
+    return build(dims, kind, blocks)
 
 
 # --------------------------------------------------------------- NDCW
@@ -343,17 +323,14 @@ def save_weights(path, net) -> None:
     for index, layer in enumerate(layers):
         _check_finite(path, index, layer)
     with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC)
-        fh.write(bytes([WEIGHTS_VERSION]))
-        fh.write(bytes([_VARIANT_CODES[net.variant]]))
-        fh.write(bytes([_HEAD_CODES[net.head]]))
-        fh.write(struct.pack("<I", net.channels))
-        fh.write(bytes([getattr(net, "resblock_count", 0)]))
-        fh.write(struct.pack("<H", len(layers)))
+        fh.write(_WEIGHTS_HEADER.pack(
+            WEIGHTS_MAGIC, WEIGHTS_VERSION, _VARIANT_CODES[net.variant],
+            _HEAD_CODES[net.head], net.channels, getattr(net, "resblock_count", 0),
+            len(layers)))
         for layer in layers:
             w = layer.weight.value
             kernel = getattr(layer, "kernel", 0)
-            fh.write(struct.pack("<BIIB", _LAYER_KINDS[kernel], w.shape[1], w.shape[0], kernel))
+            fh.write(_LAYER_HEADER.pack(_LAYER_KINDS[kernel], w.shape[1], w.shape[0], kernel))
             fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(layer.bias.value, dtype="<f4").tobytes())
 
@@ -362,31 +339,30 @@ def load_weights(path):
     from .nn import make_network
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 14:
+    if len(data) < _WEIGHTS_HEADER.size:
         raise TruncatedPayload(f"{path}: file shorter than the weights header")
-    if data[:4] != WEIGHTS_MAGIC:
-        raise BadMagic(f"{path}: magic {data[:4]!r} is not {WEIGHTS_MAGIC!r}")
-    if data[4] != WEIGHTS_VERSION:
-        raise BadVersion(f"{path}: version {data[4]} (expected {WEIGHTS_VERSION})")
-    variant = _VARIANT_NAMES.get(data[5])
-    head = _HEAD_NAMES.get(data[6])
+    (magic, version, variant_code, head_code, channels, resblocks,
+     n_layers) = _WEIGHTS_HEADER.unpack_from(data)
+    if magic != WEIGHTS_MAGIC:
+        raise BadMagic(f"{path}: magic {magic!r} is not {WEIGHTS_MAGIC!r}")
+    if version != WEIGHTS_VERSION:
+        raise BadVersion(f"{path}: version {version} (expected {WEIGHTS_VERSION})")
+    variant = _VARIANT_NAMES.get(variant_code)
+    head = _HEAD_NAMES.get(head_code)
     if variant is None or head is None:
         raise GridFormatError(f"{path}: unknown variant/head codes")
-    channels, = struct.unpack_from("<I", data, 7)
-    resblocks = data[11]
-    n_layers, = struct.unpack_from("<H", data, 12)
     net = make_network(variant, channels=channels, head=head,
                        resblocks=resblocks if variant == "pc_encoder" else None)
     layers = net.param_layers()
     if len(layers) != n_layers:
         raise GridFormatError(
             f"{path}: {n_layers} layers in file, architecture has {len(layers)}")
-    ofs = 14
+    ofs = _WEIGHTS_HEADER.size
     for index, layer in enumerate(layers):
-        if ofs + 10 > len(data):
+        if ofs + _LAYER_HEADER.size > len(data):
             raise TruncatedPayload(f"{path}: layer header truncated")
-        kind_code, fin, fout, kernel = struct.unpack_from("<BIIB", data, ofs)
-        ofs += 10
+        kind_code, fin, fout, kernel = _LAYER_HEADER.unpack_from(data, ofs)
+        ofs += _LAYER_HEADER.size
         expect_kernel = getattr(layer, "kernel", 0)
         if kernel != expect_kernel:
             raise GridFormatError(
@@ -446,9 +422,9 @@ def read_report(path) -> dict:
 
 def write_xyz(path, points: np.ndarray) -> None:
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    rows = "%.9g %.9g %.9g\n" * len(pts)
     with open(path, "w") as fh:
-        for p in pts:
-            fh.write(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n")
+        fh.write(rows % tuple(pts.ravel().tolist()))
 
 
 def read_xyz(path) -> np.ndarray:

@@ -69,10 +69,6 @@ class GridDims:
         return tuple(shape)
 
     @property
-    def vertex_count(self) -> int:
-        return self.m * self.n * self.k
-
-    @property
     def cell_count(self) -> int:
         return (self.m - 1) * (self.n - 1) * (self.k - 1)
 
@@ -174,10 +170,16 @@ class VertexOffsetGrid:
             raise NonFiniteValues("VertexOffsetGrid.offsets must be finite")
 
 
+def require_sdf(grid: ScalarGrid) -> None:
+    """Refuse OCC (cell values) and UDF (no sign) grids: signs, crossings
+    and marching cubes need signed vertex samples."""
+    if grid.kind is not GridKind.SDF:
+        raise InvalidKind(f"{grid.kind.name} grids hold no signed vertex samples; use an SDF")
+
+
 def signs_from_scalar(grid: ScalarGrid, iso: float = 0.0) -> SignGrid:
-    """Threshold a scalar grid into inside flags; values at iso are outside."""
-    if grid.kind == GridKind.OCC:
-        raise InvalidKind("occupancy stores cell values, not signed vertex samples")
+    """Threshold an SDF grid into inside flags; values at iso are outside."""
+    require_sdf(grid)
     return SignGrid(grid.dims, grid.values < iso)
 
 
@@ -229,8 +231,7 @@ def edge_crossings_linear(grid: ScalarGrid, iso: float = 0.0) -> EdgeField:
     crossing point on x-edge (i, j, l) is (i + t, j, l). Invariant under
     positive rescaling of the field.
     """
-    if grid.kind == GridKind.OCC:
-        raise InvalidKind("occupancy stores cell values, not signed vertex samples")
+    require_sdf(grid)
     v = grid.values - iso
     arrs = []
     for axis in range(3):

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridKind, ScalarGrid
-from .errors import InvalidKind
+from .grids import ScalarGrid, require_sdf
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from .mesh import TriMesh
 
@@ -34,9 +33,8 @@ _CASE_TRIS = TRI_TABLE[:, :15].reshape(256, 5, 3)
 
 
 def mc_extract(grid: ScalarGrid, iso: float = 0.0) -> TriMesh:
-    """Triangulate the iso-surface of a scalar grid."""
-    if grid.kind == GridKind.OCC:
-        raise InvalidKind("occupancy stores cell values, not signed vertex samples")
+    """Triangulate the iso-surface of an SDF grid."""
+    require_sdf(grid)
     v = grid.values - iso
     inside = v < 0
 

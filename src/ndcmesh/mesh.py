@@ -1,5 +1,6 @@
 """Mesh containers plus the small structural utilities shared by the
-extraction and evaluation paths."""
+extraction and evaluation paths. Both containers name their index array
+`faces`, so the writers and the edge census take either."""
 
 from __future__ import annotations
 
@@ -24,6 +25,10 @@ class QuadMesh:
         if self.quads.size and not 0 <= self.quads.min() <= self.quads.max() < len(self.vertices):
             raise ShapeError("quad index out of range")
 
+    @property
+    def faces(self) -> np.ndarray:
+        return self.quads
+
 
 @dataclass
 class TriMesh:
@@ -37,6 +42,10 @@ class TriMesh:
             raise NonFiniteValues("TriMesh.vertices must be finite")
         if self.tris.size and not 0 <= self.tris.min() <= self.tris.max() < len(self.vertices):
             raise ShapeError("triangle index out of range")
+
+    @property
+    def faces(self) -> np.ndarray:
+        return self.tris
 
 
 @dataclass(frozen=True)
@@ -65,14 +74,9 @@ class EdgeTopologyStats:
         }
 
 
-def _face_array(mesh: QuadMesh | TriMesh) -> np.ndarray:
-    return mesh.quads if isinstance(mesh, QuadMesh) else mesh.tris
-
-
 def mesh_edges(mesh: QuadMesh | TriMesh) -> np.ndarray:
     """Undirected edges (sorted index pairs), one row per face side."""
-    faces = _face_array(mesh)
-    pairs = np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1).reshape(-1, 2)
+    pairs = np.stack([mesh.faces, np.roll(mesh.faces, -1, axis=1)], axis=-1).reshape(-1, 2)
     pairs.sort(axis=1)
     return pairs
 

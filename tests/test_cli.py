@@ -84,6 +84,24 @@ def test_usage_and_data_errors_exit_1_and_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_mc_and_dc_refuse_datasets_without_signed_samples(tmp_path, capsys):
+    """A UDF or voxel sample's input is read as what it is, so the sign-based
+    extractors refuse it instead of meshing it as an SDF with no surface."""
+    for kind in ("sdf", "udf", "voxel"):
+        data = str(tmp_path / kind)
+        assert cli_main(["gen", "--out", data, "--kind", kind, "--res", "12",
+                         "--seed", "3"]) == 0
+        for mode in ("mc", "dc-est", "dc"):
+            out = str(tmp_path / f"{kind}_{mode}.obj")
+            want = 0 if kind == "sdf" else 2
+            assert cli_main(["mesh", "--data", data, "--mode", mode, "-o", out]) == want
+            if want:
+                assert "SDF" in capsys.readouterr().err, (kind, mode)
+            else:
+                with open(out) as fh:
+                    assert "\nf " in fh.read(), mode
+
+
 def small_dataset(root) -> str:
     data = str(root / "csg")
     assert cli_main(["gen", "--out", data, "--res", "10", "--seed", "4"]) == 0

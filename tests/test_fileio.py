@@ -1,6 +1,7 @@
 """File readers: parse errors carry the offending line, non-finite
 numbers are refused, and NDCW weights round-trip or fail typed."""
 
+import pathlib
 import struct
 
 import numpy as np
@@ -118,6 +119,17 @@ def test_corrupt_weights_raise_their_typed_error(tmp_path):
             assert type(err.value) is error, (net.variant, name, err.value)
 
 
+COMMITTED_WEIGHTS = sorted(
+    (pathlib.Path(__file__).parent.parent / "ndcbench" / "weights").glob("*.ndcw"))
+
+
+def test_committed_weights_load_and_save_to_the_same_bytes(tmp_path):
+    assert len(COMMITTED_WEIGHTS) == 4
+    for path in COMMITTED_WEIGHTS:
+        save_weights(tmp_path / path.name, load_weights(path))
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_saving_non_finite_weights_raises_and_writes_nothing(tmp_path):
     for net, _ in small_networks():
         for bad_value in (np.nan, np.inf):
@@ -187,6 +199,35 @@ def test_every_ndcgrid_payload_reads_back_its_stated_rounding(tmp_path):
             else:
                 assert got.dtype == np.float64, code
                 assert np.array_equal(got, rounding(sent), equal_nan=True), code
+
+
+def grid_corruptions(data: bytes):
+    """(name, corrupted bytes, the exact error type) for one NDCG file."""
+    return [
+        ("magic", b"NDCW" + data[4:], BadMagic),
+        ("version", data[:4] + bytes([2]) + data[5:], BadVersion),
+        ("payload code", data[:17] + bytes([5]) + data[18:], GridFormatError),
+        ("short header", data[:17], TruncatedPayload),
+        ("empty file", b"", TruncatedPayload),
+        ("truncated payload", data[:-1], TruncatedPayload),
+        ("header only", data[:18], TruncatedPayload),
+        ("trailing byte", data + b"\0", GridFormatError),
+    ]
+
+
+def test_corrupt_ndcgrid_files_raise_their_typed_error(tmp_path):
+    dims = GridDims(3, 4, 5)
+    rng = rng_for(47, "ndcgrid-corruption")
+    for obj in (ScalarGrid(dims, GridKind.SDF, rng.normal(size=dims.vertex_shape)),
+                EdgeField(dims, *(rng.random(dims.edge_shape(a)) < 0.5 for a in range(3)))):
+        good = tmp_path / "good.ndcg"
+        write_grid(good, obj)
+        for name, data, error in grid_corruptions(good.read_bytes()):
+            bad = tmp_path / "bad.ndcg"
+            bad.write_bytes(data)
+            with pytest.raises(GridFormatError) as err:
+                read_grid(bad)
+            assert type(err.value) is error, (type(obj).__name__, name, err.value)
 
 
 def reference_write_obj(path, mesh) -> None:

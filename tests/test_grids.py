@@ -11,6 +11,7 @@ from ndcmesh.grids import (EdgeField, GridDims, GridKind, ScalarGrid,
                            SignGrid, VertexOffsetGrid, central_gradients,
                            edge_crossing_normals, edge_crossings_linear,
                            signs_from_scalar, xor_flags)
+from ndcmesh.mc import mc_extract
 from ndcmesh.rng import rng_for
 
 
@@ -135,6 +136,15 @@ def test_signs_reject_occupancy_grids():
         signs_from_scalar(occ)
     with pytest.raises(InvalidKind):
         edge_crossings_linear(occ)
+
+
+def test_signs_crossings_and_marching_cubes_refuse_unsigned_grids():
+    dims = GridDims(3, 3, 3)
+    udf = ScalarGrid(dims, GridKind.UDF, np.abs(np.arange(27.0).reshape(3, 3, 3) - 13.0))
+    for fn in (signs_from_scalar, edge_crossings_linear, mc_extract):
+        for iso in (0.0, 2.0):
+            with pytest.raises(InvalidKind):
+                fn(udf, iso)
 
 
 # -- crossings --------------------------------------------------------------
