@@ -143,6 +143,13 @@ def assemble_dual_mesh(
     flip_inside: SignGrid | None = None,
 ) -> QuadMesh:
     off = offsets.offsets if isinstance(offsets, VertexOffsetGrid) else np.asarray(offsets)
+    if off.shape != flags.dims.cell_shape + (3,) or (
+            flip_inside is not None and flip_inside.dims != flags.dims):
+        signs = "" if flip_inside is None else f" and signs {flip_inside.inside.shape}"
+        raise ShapeError(
+            f"flags on a {flags.dims.vertex_shape} vertex lattice need offsets shaped "
+            f"{flags.dims.cell_shape + (3,)} and signs on the same lattice, got offsets "
+            f"{off.shape}{signs}")
     active = active_cell_mask(flags)
     ids, cells = _number_cells(active)
     vertices = cells.astype(np.float64) + off[cells[:, 0], cells[:, 1], cells[:, 2]]

@@ -5,7 +5,9 @@ on (C, N) rows of a voxel set; linear layers act on (..., features)
 arrays. Each layer caches what its backward pass needs, so forward must
 be called before backward and a layer instance processes one input at a
 time. A convolution trains on voxel sets only: forward_rows caches for
-backward_rows, and the dense forward caches nothing. Inside `inference()`
+backward_rows, and the dense forward caches nothing. Both forwards sum
+a convolution block-major: for each block of MIX_BLOCK output columns,
+every tap's channel mix in tap order (Conv3d._mix). Inside `inference()`
 no layer caches anything, and each forward drops what an earlier one
 cached, so a prediction holds no rows for a backward pass that never
 comes. The switch is a context variable, so it holds for the thread or
@@ -36,7 +38,9 @@ LEAKY_SLOPE = 0.01
 # columns, and column counts that leave an edge block, or make
 # out * in * columns at most 1e6, change how some columns are summed. One
 # shape makes every voxel's value independent of the voxels it is
-# computed with, which lets Conv3d.forward_rows reproduce forward.
+# computed with, which lets Conv3d.forward_rows reproduce forward. The
+# taps of a block are summed before the next block starts, so the sum
+# lives in one (out, MIX_BLOCK) accumulator that stays in cache.
 MIX_BLOCK = 512
 
 _CACHING = contextvars.ContextVar("caching", default=True)
@@ -98,38 +102,30 @@ class Layer:
             p.grad[...] = 0.0
 
 
-def _channel_mix(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """w @ x for (out, in) weights and (in, N) columns, as products of
-    one shape (see MIX_BLOCK), the last block of columns zero-padded.
-    Writes the blocks of the result to y, shaped (blocks, out, MIX_BLOCK),
-    and returns it."""
-    n = x.shape[1]
-    for b, lo in enumerate(range(0, n, MIX_BLOCK)):
-        block = x[:, lo:lo + MIX_BLOCK]
-        if block.shape[1] < MIX_BLOCK:
-            block = np.concatenate(
-                [block, np.zeros((len(x), MIX_BLOCK - block.shape[1]), dtype=x.dtype)], axis=1)
-        np.dot(w, block, out=y[b])
-    return y
-
-
 class Conv3d(Layer):
     """3D cross-correlation with kernel size 1 or 3, stride 1.
 
     The input is zero-padded by kernel // 2 voxels so the spatial shape
-    is preserved. forward is one loop over the kernel^3 windows of the
-    padded input, summing each window's channel mix; kernel size 1 is
-    the unpadded case with a single window, the input itself, so it is
-    neither copied nor padded. Weights are stored as (out, in, kz, ky, kx).
+    is preserved. Weights are stored as (out, in, kz, ky, kx). Both
+    forwards hand _mix a view of each tap's input columns, block by
+    block, and _mix sums the taps' channel mixes in one accumulator per
+    block. The dense forward copies the input once, into a flat padded
+    volume with 2 * (W + 2) + 2 zero columns appended: tap (dz, dy, dx)
+    then reads columns shifted by dz * (H + 2) * (W + 2) + dy * (W + 2)
+    + dx, in place, and the output spans D * (H + 2) * (W + 2) columns,
+    whose padding columns are dropped at the end. Kernel size 1 is the
+    unpadded case with a single tap, the input itself, so it is neither
+    copied nor padded.
 
     forward_rows computes the same outputs at a set of voxels only, from
-    the inputs as (in, N) rows; it sums the same products in the same
-    order, so its rows equal forward's voxels bit for bit. backward_rows
-    is its backward pass, one loop over the taps: the weight gradient
-    correlates the output gradient with each tap's input rows, and the
-    input gradient scatters each tap's share back to those rows. The
-    dense forward is the reference the row passes are tested against;
-    there is no dense backward.
+    the inputs as (in, N) rows, gathering each tap's rows one block at a
+    time; it sums the same products in the same order, so its rows equal
+    forward's voxels bit for bit. backward_rows is its backward pass, one
+    loop over the taps: the weight gradient correlates the output
+    gradient with each tap's input rows, and the input gradient scatters
+    each tap's share back to those rows. The dense forward is the
+    reference the row passes are tested against; there is no dense
+    backward.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
@@ -153,26 +149,30 @@ class Conv3d(Layer):
         for offset in itertools.product(range(self.kernel), repeat=3):
             yield (slice(None), slice(None)) + offset
 
-    def _windows(self, d: int, h: int, w: int):
-        """(weight tap, padded-input window) index pairs, dx fastest."""
-        for tap in self._taps():
-            dz, dy, dx = tap[2:]
-            yield tap, (slice(None), slice(dz, dz + d), slice(dy, dy + h), slice(dx, dx + w))
-
-    def _mix(self, cols, n: int) -> np.ndarray:
-        """Sum each tap's channel mix of its (in, n) input columns, taps
-        in order, then add the bias: the one summation of both forwards.
-        Every tap after the first is mixed into one reused buffer."""
-        wv = self.weight.value
-        shape = (-(-n // MIX_BLOCK), self.out_channels, MIX_BLOCK)
-        taps = zip(self._taps(), cols)
-        tap, col = next(taps)
-        y = _channel_mix(wv[tap], col, np.empty(shape, dtype=np.result_type(wv, col)))
-        term = np.empty_like(y)
-        for tap, col in taps:
-            y += _channel_mix(wv[tap], col, term)
-        y = y.transpose(1, 0, 2).reshape(self.out_channels, -1)[:, :n]
-        return y + self.bias.value[:, None]
+    def _mix(self, tap_cols, n: int, dtype) -> np.ndarray:
+        """Sum the taps' channel mixes of n input columns, then add the
+        bias: the one summation of both forwards. tap_cols(lo, hi) yields
+        each tap's (in, hi - lo) input columns lo:hi, in tap order. Block
+        by block, every tap's product is summed, taps in order, into one
+        reused (out, MIX_BLOCK) accumulator; the last block is
+        zero-padded to MIX_BLOCK columns. Returns (out, n)."""
+        # BLAS cannot read a tap's strided weight slice; copy each once
+        weights = [np.ascontiguousarray(self.weight.value[tap]) for tap in self._taps()]
+        dtype = np.result_type(self.weight.value, dtype)
+        y = np.empty((self.out_channels, n), dtype=dtype)
+        acc = np.empty((self.out_channels, MIX_BLOCK), dtype=dtype)
+        term = np.empty_like(acc)
+        for lo in range(0, n, MIX_BLOCK):
+            hi = min(lo + MIX_BLOCK, n)
+            for i, (w, col) in enumerate(zip(weights, tap_cols(lo, hi))):
+                if hi - lo < MIX_BLOCK:
+                    col = np.concatenate(
+                        [col, np.zeros((len(col), MIX_BLOCK - (hi - lo)), dtype=col.dtype)], axis=1)
+                np.dot(w, col, out=term if i else acc)
+                if i:
+                    acc += term
+            np.add(acc[:, :hi - lo], self.bias.value[:, None], out=y[:, lo:hi])
+        return y
 
     def _check_channels(self, x: np.ndarray, ndim: int, shape: str) -> None:
         if x.ndim != ndim or x.shape[0] != self.in_channels:
@@ -183,11 +183,18 @@ class Conv3d(Layer):
         caches nothing and drops what a forward_rows cached."""
         self._check_channels(x, 4, "D, H, W")
         self._rows = None
-        p = self.kernel // 2
-        xp = np.pad(x, [(0, 0)] + [(p, p)] * 3) if p else x
-        cols = (xp[win].reshape(self.in_channels, -1) for _, win in self._windows(*x.shape[1:]))
-        y = self._mix(cols, math.prod(x.shape[1:]))
-        return y.reshape((self.out_channels,) + x.shape[1:])
+        c, (d, h, w), p = self.in_channels, x.shape[1:], self.kernel // 2
+        hp, wp = h + 2 * p, w + 2 * p
+        if p:
+            # 2 * wp + 2 trailing zeros keep the last tap's window in range
+            flat = np.zeros((c, (d + 2) * hp * wp + 2 * wp + 2), dtype=x.dtype)
+            flat[:, :(d + 2) * hp * wp].reshape(c, d + 2, hp, wp)[:, 1:-1, 1:-1, 1:-1] = x
+        else:
+            flat = x.reshape(c, -1)
+        offsets = [dz * hp * wp + dy * wp + dx for _, _, dz, dy, dx in self._taps()]
+        y = self._mix(lambda lo, hi: (flat[:, o + lo:o + hi] for o in offsets),
+                      d * hp * wp, x.dtype)
+        return np.ascontiguousarray(y.reshape(self.out_channels, d, hp, wp)[:, :, :h, :w])
 
     def forward_rows(self, x: np.ndarray, nb: np.ndarray | None = None) -> np.ndarray:
         """forward at a set of voxels; caches its input for backward_rows.
@@ -203,10 +210,11 @@ class Conv3d(Layer):
             raise ValueError("a neighbor table is needed for, and only for, kernel 3")
         if nb is None:
             self._rows = _cached((x, None))
-            return self._mix([x], x.shape[1])
+            return self._mix(lambda lo, hi: [x[:, lo:hi]], x.shape[1], x.dtype)
         padded = np.concatenate([x, np.zeros_like(x[:, :1])], axis=1)
         self._rows = _cached((padded, nb))
-        return self._mix((padded.take(rows, axis=1) for rows in nb.T), len(nb))
+        return self._mix(lambda lo, hi: (padded.take(rows[lo:hi], axis=1) for rows in nb.T),
+                         len(nb), x.dtype)
 
     def backward_rows(self, gy: np.ndarray) -> np.ndarray:
         """The (in, N) input gradient of the last forward_rows from its

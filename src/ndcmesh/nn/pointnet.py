@@ -20,7 +20,9 @@ cells, and its input gradient is read only there. Unlike
 GridNetwork.predict, predict's grid stage is not run band-sparse: the
 active set follows how far the points spread (2,300 to 9,400 cells for
 2,048-point clouds of random 48^3 scenes), and a sparse pass's cost
-with it, while the dense pass costs the same for every cloud.
+with it, while the dense pass costs the same for every cloud: each
+3^3 layer mixes D * (H + 2) * (W + 2) columns of windows it reads in
+place (layers.Conv3d).
 
 Both neighborhoods hold K_NEIGHBORS points, and the active reach is
 datagen.ACTIVE_MANHATTAN; neither is an option of the network. So they

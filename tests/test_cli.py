@@ -102,6 +102,26 @@ def test_mc_and_dc_refuse_datasets_without_signed_samples(tmp_path, capsys):
                     assert "\nf " in fh.read(), mode
 
 
+def test_fields_from_grids_of_different_sizes_are_data_errors(tmp_path, capsys):
+    """Signs, flags and offsets read from files of different lattices make
+    no mesh: ndc and undc exit 2 instead of meshing what overlaps."""
+    data = {res: str(tmp_path / str(res)) for res in (10, 11)}
+    for res, path in data.items():
+        assert cli_main(["gen", "--out", path, "--res", str(res), "--seed", "5"]) == 0
+
+    def gt(res, name):
+        return os.path.join(data[res], "sample_000", name)
+
+    for signs, offsets, want in ((10, 10, 0), (10, 11, 2), (11, 10, 2)):
+        base = ["mesh", "--data", data[signs], "--offsets", gt(offsets, "gt_vertices.ndcg")]
+        for mode, field in (("ndc", ["--signs", gt(signs, "gt_signs.ndcg")]),
+                            ("undc", ["--flags", gt(signs, "gt_flags.ndcg")])):
+            out = str(tmp_path / f"{mode}_{signs}_{offsets}.obj")
+            assert cli_main(base + field + ["--mode", mode, "-o", out]) == want, (mode, offsets)
+            if want:
+                assert "offsets" in capsys.readouterr().err, (mode, offsets)
+
+
 def small_dataset(root) -> str:
     data = str(root / "csg")
     assert cli_main(["gen", "--out", data, "--res", "10", "--seed", "4"]) == 0

@@ -4,10 +4,13 @@ the 48-transform equivariance of every extractor."""
 from collections import Counter
 
 import numpy as np
+import pytest
 
+from ndcmesh._dual import assemble_dual_mesh
 from ndcmesh.csg import Box, Sphere, Subtract, Union, csg_normal_fn, random_scene
 from ndcmesh.datagen import sample_csg_grid
 from ndcmesh.dc import dc_extract, dc_fields
+from ndcmesh.errors import ShapeError
 from ndcmesh.grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
                            VertexOffsetGrid, signs_from_scalar, xor_flags)
 from ndcmesh.mc import mc_extract
@@ -96,6 +99,26 @@ def test_flag_extraction_on_xor_flags_is_bit_identical_to_signs():
         b = undc_extract(xor_flags(signs), offs)
         assert np.array_equal(a.vertices, b.vertices)
         assert np.array_equal(a.quads, b.quads)
+
+
+def test_fields_on_different_lattices_raise_shape_error():
+    """Offsets and the winding signs must sit on the flags' lattice, one
+    axis off included; the shared assembler checks it for every extractor."""
+    dims = GridDims(6, 7, 5)
+    inside = np.zeros(dims.vertex_shape, dtype=bool)
+    inside[2:4, 2:5, 2:3] = True
+    signs = SignGrid(dims, inside)
+    assert len(ndc_extract(signs, centered_offsets(dims)).quads) > 0
+    for other in (GridDims(6, 7, 6), GridDims(7, 7, 5), GridDims(5, 7, 5)):
+        with pytest.raises(ShapeError):
+            ndc_extract(signs, centered_offsets(other))
+        with pytest.raises(ShapeError):
+            undc_extract(xor_flags(signs), centered_offsets(other))
+        other_signs = SignGrid(other, np.zeros(other.vertex_shape, dtype=bool))
+        with pytest.raises(ShapeError):
+            assemble_dual_mesh(xor_flags(signs), centered_offsets(dims).offsets, other_signs)
+        with pytest.raises(ShapeError):
+            assemble_dual_mesh(xor_flags(signs), np.full(other.cell_shape + (3,), 0.5), signs)
 
 
 def test_interior_sign_fields_extract_closed_meshes():

@@ -202,6 +202,30 @@ def test_conv3d_is_bit_identical_to_the_two_branch_reference():
             assert same_bits(conv.bias.grad, ref.bias_grad), (kernel, cin)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_dense_windows_equal_the_row_pass_bit_for_bit(kernel, dtype):
+    # the dense pass reads each tap's window in place from the flattened
+    # padded input, over D*(H+2)*(W+2) columns for kernel 3 and D*H*W for
+    # kernel 1; these shapes put that count on both sides of one and two
+    # MIX_BLOCK multiples, and give axes of length 1 and 2
+    shapes = [(5, 7, 3), (1, 4, 2), (2, 1, 1), (1, 1, 1), (2, 2, 2)]
+    shapes += ([(1, 5, 71), (2, 14, 14), (3, 7, 17), (3, 9, 29), (5, 3, 39)] if kernel == 3
+               else [(1, 7, 73), (8, 8, 8), (3, 9, 19), (3, 11, 31), (5, 5, 41)])
+    conv = Conv3d(3, 4, kernel, rng_for(13, "w", kernel), dtype=dtype)
+    conv.bias.value[:] = rng_for(13, "b", kernel).standard_normal(4)
+    for shape in shapes:
+        rng = rng_for(13, "x", kernel, *shape)
+        x = rng.standard_normal((3,) + shape).astype(dtype)
+        dense = conv.forward(x)
+        assert dense.shape == (4,) + shape and dense.flags.c_contiguous, shape
+        masks = {"full": np.ones(shape, dtype=bool), "empty": np.zeros(shape, dtype=bool),
+                 "random": rng.random(shape) < 0.3}
+        for name, out in masks.items():
+            rows, _ = conv_rows(conv, x, out)
+            assert same_bits(rows, dense[:, out]), (shape, name)
+
+
 def test_conv3d_rejects_bad_kernel_and_input():
     with pytest.raises(ValueError):
         Conv3d(1, 1, 2, rng_for(0, "w"))

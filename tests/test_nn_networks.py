@@ -5,10 +5,14 @@ forward and backward and against a loss computed on logit volumes,
 reproducible training runs and divergence, one neighborhood build per
 unaugmented point sample, set-restricted prediction
 against the dense pass, prediction that keeps nothing for a backward
-pass, and masks off a head's lattice."""
+pass, dense logits that do not depend on the BLAS thread count, and
+masks off a head's lattice."""
 
 import functools
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +34,24 @@ from ndcmesh.rng import rng_for
 
 FD_H = 1e-6
 FD_TOL = 1e-5
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Prints a digest of the dense logits of a 32-channel sdf_v network and a
+# 32-channel point network at 20^3, one line each.
+THREAD_PROBE = """
+import hashlib
+from ndcmesh.csg import random_scene
+from ndcmesh.datagen import sample_csg_grid, sample_point_cloud
+from ndcmesh.grids import GridDims
+from ndcmesh.nn import GridNetwork, PointNetwork, cloud_neighbors
+dims = GridDims(20, 20, 20)
+scene = random_scene(3, 19.0)
+cloud = sample_point_cloud(scene, 512, 0.0, 3)
+for net, inp in ((GridNetwork("sdf_v", channels=32, seed=4), sample_csg_grid(scene, dims)),
+                 (PointNetwork("flag", channels=32, seed=4), cloud_neighbors(cloud, dims))):
+    print(hashlib.sha256(net.forward_logits(inp).tobytes()).hexdigest())
+"""
 
 
 def brute_force_knn(points, queries, k):
@@ -583,6 +605,22 @@ def head_arrays(output) -> list:
     if isinstance(output, SignGrid):
         return [output.inside]
     return [output.offsets] if isinstance(output, VertexOffsetGrid) else list(output.axes)
+
+
+def test_dense_logits_do_not_depend_on_the_blas_thread_count():
+    """Every channel mix has one shape (MIX_BLOCK), and a threaded BLAS
+    splits such a product over its output rows and columns, not over the
+    sums, so prediction gives the same bits on one thread and on two.
+    Each count runs in a fresh interpreter, since BLAS reads it once."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, check=False, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1], digests
 
 
 def test_predict_keeps_nothing_for_a_backward_pass():
