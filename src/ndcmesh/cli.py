@@ -54,7 +54,7 @@ from .grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
 from .mc import mc_extract
 from .mesh import QuadMesh, edge_topology_stats, split_quads
 from .metrics import evaluate_mesh
-from .ndc import close_holes, ndc_extract, undc_extract
+from .ndc import close_holes, mesh_cells, ndc_extract, undc_extract
 from .nn import TrainConfig, cloud_neighbors, train_network
 from .nn.network import BAND_WIDTH
 from .rng import derive_seed
@@ -159,19 +159,27 @@ def _cloud_neighbors_of(cloud_path: str):
         lambda res: cloud_neighbors(fileio.read_xyz(cloud_path), GridDims(res, res, res)))
 
 
-def _predict(net, read_input, neighbors, res: int):
+def _predict(net, read_input, neighbors, res: int, cells=None):
     """Run a loaded network on the grid `read_input(kind)` returns, given
     the network's own input kind, or, for a point network, on a stored
-    cloud's neighborhoods (`neighbors`, see _cloud_neighbors_of)."""
+    cloud's neighborhoods (`neighbors`, see _cloud_neighbors_of).
+    `cells` maps GridDims to the cells a mesh on that lattice reads
+    (ndc.mesh_cells); a vertex head predicts only at those of its own."""
     if net.variant == "pc_encoder":
-        return net.predict(neighbors(res), GridDims(res, res, res))
-    return net.predict(read_input(GridKind(net.input_kind)))
+        dims = GridDims(res, res, res)
+        inputs = (neighbors(res), dims)
+    else:
+        grid = read_input(GridKind(net.input_kind))
+        dims, inputs = grid.dims, (grid,)
+    return net.predict(*inputs, cells=(cells or {}).get(dims) if net.head == "vertex" else None)
 
 
-def _resolve_field(explicit, data: str, sdir: str, head: str, neighbors):
+def _resolve_field(explicit, data: str, sdir: str, head: str, neighbors, mesh_field=None):
     """Load a prediction field: explicit file > the weights `train` writes
     for the dataset's kind and this head (HEAD_STEMS) > GT file.
-    `neighbors` gives the sample cloud's neighborhoods (_cloud_neighbors_of)."""
+    `neighbors` gives the sample cloud's neighborhoods (_cloud_neighbors_of).
+    Predicted vertex offsets are computed only at the cells a mesh from
+    `mesh_field`, the signs or flags, reads."""
     _, gt_name, cls, _ = HEAD_FILES[head]
     if explicit:
         return _read_grid(explicit, cls)
@@ -180,8 +188,9 @@ def _resolve_field(explicit, data: str, sdir: str, head: str, neighbors):
     if (kind, head) in HEAD_STEMS:
         wpath = os.path.join(data, HEAD_STEMS[kind, head] + ".ndcw")
         if os.path.exists(wpath):
+            cells = None if mesh_field is None else {mesh_field.dims: mesh_cells(mesh_field)}
             return _predict(fileio.load_weights(wpath), lambda _: _read_input(sdir, manifest),
-                            neighbors, int(manifest["res"]))
+                            neighbors, int(manifest["res"]), cells)
     gt_path = os.path.join(sdir, gt_name)
     if os.path.exists(gt_path):
         return _read_grid(gt_path, cls)
@@ -260,7 +269,7 @@ def cmd_train(args) -> None:
 def cmd_infer(args) -> None:
     if not args.grid and not args.cloud:
         raise UsageError("pass --grid FILE or --cloud FILE")
-    neighbors = _cloud_neighbors_of(args.cloud)
+    nets = []
     for wpath in args.weights:
         net = fileio.load_weights(wpath)
         if net.variant == "pc_encoder":
@@ -270,8 +279,17 @@ def cmd_infer(args) -> None:
                 raise UsageError("--res is required with --cloud")
         elif not args.grid:
             raise UsageError(f"{wpath} is a grid network; pass --grid")
+        nets.append(net)
+    neighbors = _cloud_neighbors_of(args.cloud)
+    # a mesh reads vertex offsets only at the cells its signs or flags
+    # give: the sign and flag heads run first, and the vertex heads only
+    # at the union of those cells on their own lattice
+    cells = {}
+    for net in sorted(nets, key=lambda net: net.head == "vertex"):
         pred = _predict(net, lambda kind: fileio.read_grid(
-            args.grid, KIND_NAMES.get(args.grid_kind, kind)), neighbors, args.res)
+            args.grid, KIND_NAMES.get(args.grid_kind, kind)), neighbors, args.res, cells)
+        if net.head != "vertex":
+            cells[pred.dims] = cells.get(pred.dims, False) | mesh_cells(pred)
         *_, suffix = HEAD_FILES[net.head]
         out = args.out_prefix + suffix
         fileio.write_grid(out, pred)
@@ -303,11 +321,11 @@ def cmd_mesh(args) -> None:
             mesh = dc_extract(grid, csg_normal_fn(scene), args.iso)
     elif args.mode == "ndc":
         signs = _resolve_field(args.signs, args.data, sdir, "sign", neighbors)
-        offsets = _resolve_field(args.offsets, args.data, sdir, "vertex", neighbors)
+        offsets = _resolve_field(args.offsets, args.data, sdir, "vertex", neighbors, signs)
         mesh = ndc_extract(signs, offsets)
     else:  # undc
         flags = _resolve_field(args.flags, args.data, sdir, "flag", neighbors)
-        offsets = _resolve_field(args.offsets, args.data, sdir, "vertex", neighbors)
+        offsets = _resolve_field(args.offsets, args.data, sdir, "vertex", neighbors, flags)
         if args.close_holes:
             flags = close_holes(flags)
         mesh = undc_extract(flags, offsets)
@@ -430,7 +448,11 @@ def build_parser() -> _Parser:
         "elsewhere, vertex offsets at cells with a corner in that band (0.5 "
         "elsewhere) and flags on edges with both ends in it (false elsewhere). "
         f"Point networks predict at cells within {ACTIVE_MANHATTAN} Manhattan steps "
-        "of a cell holding a point; elsewhere offsets are 0.5 and flags false.")
+        "of a cell holding a point; elsewhere offsets are 0.5 and flags false. "
+        "With a sign or flag head in the same call, on the same lattice, vertex "
+        "offsets are predicted only at the cells where the mesh from those signs "
+        "or flags has a vertex (with or without --close-holes), and are 0.5 "
+        "elsewhere.")
     i.add_argument("--weights", action="append", required=True,
                    help="weights file (repeatable)")
     i.add_argument("--grid", help="input NDCGRID scalar grid")

@@ -17,6 +17,10 @@ class InvalidKind(NdcMeshError):
     """A scalar grid has the wrong kind for the requested operation."""
 
 
+class InvalidArgument(NdcMeshError, ValueError):
+    """An argument is not one the called operation accepts."""
+
+
 class NoConstraints(NdcMeshError):
     """A QEF solve was requested with an empty constraint list."""
 

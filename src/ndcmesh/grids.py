@@ -170,16 +170,19 @@ class VertexOffsetGrid:
             raise NonFiniteValues("VertexOffsetGrid.offsets must be finite")
 
 
-def require_sdf(grid: ScalarGrid) -> None:
+def require_sdf(grid: ScalarGrid, iso: float) -> None:
     """Refuse OCC (cell values) and UDF (no sign) grids: signs, crossings
-    and marching cubes need signed vertex samples."""
+    and marching cubes need signed vertex samples. Refuse a non-finite
+    iso level too, which no finite sample crosses."""
     if grid.kind is not GridKind.SDF:
         raise InvalidKind(f"{grid.kind.name} grids hold no signed vertex samples; use an SDF")
+    if not np.isfinite(iso):
+        raise NonFiniteValues(f"the iso level must be finite, got {iso}")
 
 
 def signs_from_scalar(grid: ScalarGrid, iso: float = 0.0) -> SignGrid:
     """Threshold an SDF grid into inside flags; values at iso are outside."""
-    require_sdf(grid)
+    require_sdf(grid, iso)
     return SignGrid(grid.dims, grid.values < iso)
 
 
@@ -231,7 +234,7 @@ def edge_crossings_linear(grid: ScalarGrid, iso: float = 0.0) -> EdgeField:
     crossing point on x-edge (i, j, l) is (i + t, j, l). Invariant under
     positive rescaling of the field.
     """
-    require_sdf(grid)
+    require_sdf(grid, iso)
     v = grid.values - iso
     arrs = []
     for axis in range(3):

@@ -34,7 +34,7 @@ _CASE_TRIS = TRI_TABLE[:, :15].reshape(256, 5, 3)
 
 def mc_extract(grid: ScalarGrid, iso: float = 0.0) -> TriMesh:
     """Triangulate the iso-surface of an SDF grid."""
-    require_sdf(grid)
+    require_sdf(grid, iso)
     v = grid.values - iso
     inside = v < 0
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._dual import assemble_dual_mesh, cell_edges, edge_ring, interior_edges, ring_cells
+from ._dual import (active_cell_mask, assemble_dual_mesh, cell_edges, edge_ring, interior_edges,
+                    ring_cells)
 from .grids import EdgeField, SignGrid, VertexOffsetGrid, xor_flags
 from .mesh import QuadMesh
 
@@ -25,6 +26,16 @@ def ndc_extract(signs: SignGrid, offsets: VertexOffsetGrid) -> QuadMesh:
 def undc_extract(flags: EdgeField, offsets: VertexOffsetGrid) -> QuadMesh:
     """Dual mesh from crossing flags alone; output may be open."""
     return assemble_dual_mesh(flags, offsets)
+
+
+def mesh_cells(field: SignGrid | EdgeField) -> np.ndarray:
+    """The cells whose vertex offsets a mesh from `field` reads: those of
+    ndc_extract for signs, and of undc_extract for flags, with or without
+    close_holes. close_holes adds no cell: it sets a flag only when 3 of
+    its quad's 4 mesh edges have a face, and each such edge joins two of
+    the quad's cells through a flagged edge they share, so all four cells
+    have a vertex already."""
+    return active_cell_mask(xor_flags(field) if isinstance(field, SignGrid) else field)
 
 
 def _face_counts(flags: EdgeField) -> list[np.ndarray]:

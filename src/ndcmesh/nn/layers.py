@@ -269,15 +269,20 @@ class Linear(Layer):
 
 
 class LeakyReLU(Layer):
-    """Leaky ReLU with slope LEAKY_SLOPE below zero."""
+    """Leaky ReLU with slope LEAKY_SLOPE below zero.
+
+    Since 0 < LEAKY_SLOPE < 1, max(x, LEAKY_SLOPE * x) is x where x >= 0
+    and LEAKY_SLOPE * x below, with the same bits as selecting either
+    (signed zeros, infinities and NaN included). Only backward reads the
+    x >= 0 mask, so it is not built inside inference().
+    """
 
     def __init__(self):
         self._pos = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        pos = x >= 0
-        self._pos = _cached(pos)
-        return np.where(pos, x, LEAKY_SLOPE * x)
+        self._pos = x >= 0 if _CACHING.get() else None
+        return np.maximum(x, LEAKY_SLOPE * x)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         return np.where(self._pos, gy, LEAKY_SLOPE * gy)

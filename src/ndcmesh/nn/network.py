@@ -35,6 +35,11 @@ Outside the supervised outputs the loss, and so every gradient, is
 zero; backward_rows (stack_rows_backward) is exact there. The dense
 forward_logits is the reference both passes are tested against.
 
+A vertex head's predict also takes the cells a mesh reads (`cells`,
+ndc.mesh_cells of the predicted signs or flags) and then computes only
+the used outputs among them: a mesh places a vertex only in cells the
+surface crosses, so the other offsets would never be read.
+
 Every pass reads the network's input as training and predict hold it:
 GridNetwork takes the ScalarGrid, PointNetwork (nn.pointnet) the
 cloud's CloudNeighbors. So nn.train makes one forward_rows(input, out)
@@ -44,7 +49,7 @@ call whatever the network.
 import numpy as np
 
 from .._dual import cells_to_edge_field, edge_field_to_cells, neighbor_rows
-from ..errors import InvalidKind, ShapeError
+from ..errors import InvalidArgument, InvalidKind, ShapeError
 from ..grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid, VertexOffsetGrid,
                      box_any, edge_ends)
 from ..mc_tables import CORNER_OFFSETS
@@ -147,6 +152,17 @@ def stack_rows_backward(stack: Sequential, g: np.ndarray) -> np.ndarray:
     return g
 
 
+def vertex_cells(head: str, cells, dims: GridDims) -> np.ndarray:
+    """Check the `cells` argument of predict: a cell mask, given to a
+    vertex head only (signs and flags are what a mesh's cells come from)."""
+    if head != "vertex":
+        raise InvalidArgument(f"only a vertex head predicts at given cells, not a {head} head")
+    cells = np.asarray(cells)
+    if cells.shape != dims.cell_shape:
+        raise ShapeError(f"cells must be a mask on {dims.cell_shape}, got {cells.shape}")
+    return cells.astype(bool)
+
+
 def cell_head_output(head: str, probs: np.ndarray, dims):
     """Typed vertex or flag output from (3, *cell_shape) probabilities."""
     if head == "flag":
@@ -204,10 +220,13 @@ class GridNetwork(Layer):
         from the gradient at its rows."""
         stack_rows_backward(self.trunk, grows)
 
-    def predict(self, grid: ScalarGrid):
+    def predict(self, grid: ScalarGrid, cells=None):
         """Thresholded, typed output for this network's head: computed at
-        used_outputs, the fill elsewhere."""
+        used_outputs, the fill elsewhere. A vertex head given a cell mask
+        `cells` computes only at the used outputs among those cells."""
         used, fill = self.used_outputs(grid)
+        if cells is not None:
+            used = used & vertex_cells(self.head, cells, grid.dims)
         out = used.any(axis=0)
         probs = np.zeros(used.shape, dtype=self.dtype)
         with inference():

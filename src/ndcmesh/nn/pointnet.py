@@ -16,13 +16,17 @@ crossing on the flag head and the cell center (0.5) on the vertex head.
 Training supervises the flag head on exactly that set. It runs stage
 three band-sparse, like GridNetwork (network.stack_rows): on band_sets
 of the supervised cells, from an input that is non-zero only at active
-cells, and its input gradient is read only there. Unlike
-GridNetwork.predict, predict's grid stage is not run band-sparse: the
-active set follows how far the points spread (2,300 to 9,400 cells for
-2,048-point clouds of random 48^3 scenes), and a sparse pass's cost
-with it, while the dense pass costs the same for every cloud: each
-3^3 layer mixes D * (H + 2) * (W + 2) columns of windows it reads in
-place (layers.Conv3d).
+cells, and its input gradient is read only there.
+
+predict runs the flag head's grid stage dense: the active set follows
+how far the points spread (2,300 to 9,400 cells for 2,048-point clouds
+of random 48^3 scenes), and a sparse pass's cost with it, while the
+dense pass costs the same for every cloud: each 3^3 layer mixes
+D * (H + 2) * (W + 2) columns of windows it reads in place
+(layers.Conv3d). A vertex head given the cells a mesh reads
+(ndc.mesh_cells, as `ndcmesh infer` passes them) runs forward_rows at
+the active cells among them instead: the few hundred cells the surface
+crosses.
 
 Both neighborhoods hold K_NEIGHBORS points, and the active reach is
 datagen.ACTIVE_MANHATTAN; neither is an option of the network. So they
@@ -50,7 +54,7 @@ from ..rng import rng_for
 from .layers import (Layer, LeakyReLU, Linear, MaxPoolAxis, ResBlockFC,
                      Sequential, _cached, inference, sigmoid)
 from .network import (HEAD_CHANNELS, band_sets, cell_head_output, conv_stack, stack_rows,
-                      stack_rows_backward)
+                      stack_rows_backward, vertex_cells)
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -240,14 +244,21 @@ class PointNetwork(Layer):
         return (np.broadcast_to(nb.active, (3,) + nb.active.shape),
                 0.0 if self.head == "flag" else 0.5)
 
-    def predict(self, cloud, dims: GridDims):
+    def predict(self, cloud, dims: GridDims, cells=None):
         """Typed head output: computed at used_outputs, the fill
         elsewhere. `cloud` is an (N, 3) array or its CloudNeighbors,
-        which several networks can share."""
+        which several networks can share. A vertex head given a cell
+        mask `cells` computes only at the active cells among them, on
+        their rows (forward_rows); otherwise the grid stage runs dense."""
         nb = cloud if isinstance(cloud, CloudNeighbors) else cloud_neighbors(cloud, dims)
         if nb.dims != dims:
             raise ShapeError(f"cloud neighborhoods are for {nb.dims}, not {dims}")
-        with inference():
-            logits = self.forward_logits(nb)
         used, fill = self.used_outputs(nb)
-        return cell_head_output(self.head, np.where(used, sigmoid(logits), fill), dims)
+        with inference():
+            if cells is None:
+                probs = sigmoid(self.forward_logits(nb))
+            else:
+                used = used & vertex_cells(self.head, cells, dims)
+                probs = np.zeros(used.shape, dtype=self.dtype)
+                probs[:, used[0]] = sigmoid(self.forward_rows(nb, used[0]))
+        return cell_head_output(self.head, np.where(used, probs, fill), dims)

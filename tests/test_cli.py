@@ -4,11 +4,13 @@ import os
 import shutil
 
 import numpy as np
+import pytest
 
 import ndcmesh.nn.pointnet as pointnet
 from ndcmesh import fileio
-from ndcmesh.cli import cli_main
+from ndcmesh.cli import HEAD_FILES, HEAD_STEMS, cli_main
 from ndcmesh.grids import GridDims
+from ndcmesh.ndc import mesh_cells
 from ndcmesh.nn import make_network
 
 
@@ -298,3 +300,60 @@ def test_mesh_finds_a_clouds_neighborhoods_once_for_both_point_networks(tmp_path
     assert cli_main(["mesh", "--data", data, "--mode", "undc"]) == 0
     # one query for the points, one for the active cell centers
     assert calls == {"knn_indices": 2, "read_xyz": 1}
+
+
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("kind", ["sdf", "points"])
+def test_infer_predicts_offsets_only_at_the_cells_its_mesh_reads(tmp_path, kind):
+    """With a sign or flag head in the call, the vertex head predicts at
+    that field's mesh cells only: its file holds the vertex head's own
+    offsets there and 0.5 elsewhere, and every mesh is unchanged."""
+    data = str(tmp_path / kind)
+    assert cli_main(["gen", "--out", data, "--kind", kind, "--res", "16",
+                     "--cloud-size", "512"]) == 0
+    sdir = os.path.join(data, "sample_000")
+    field, bias = ("sign", 0.0) if kind == "sdf" else ("flag", -0.2)
+    weights = {}
+    for head in (field, "vertex"):
+        stem = HEAD_STEMS[kind, head]
+        net = make_network("pc_encoder" if kind == "points" else stem, channels=6, seed=3,
+                           head=head)
+        if head == field:  # so that the mesh reads some of the vertex head's cells only
+            net.param_layers()[-1].bias.value[:] = bias
+        weights[head] = os.path.join(data, stem + ".ndcw")
+        fileio.save_weights(weights[head], net)
+    source = (["--grid", os.path.join(sdir, "input.ndcg")] if kind == "sdf" else
+              ["--cloud", os.path.join(sdir, "cloud.xyz"), "--res", "16"])
+
+    def infer(prefix, *heads):
+        argv = ["infer", *source, "--out-prefix", str(tmp_path / prefix)]
+        assert cli_main(argv + [a for h in heads for a in ("--weights", weights[h])]) == 0
+        return {h: str(tmp_path / (prefix + HEAD_FILES[h][3])) for h in heads}
+
+    alone = {**infer("field", field), **infer("vertex", "vertex")}
+    for heads in ((field, "vertex"), ("vertex", field)):
+        both = infer("both_" + heads[0], *heads)
+        assert read_bytes(both[field]) == read_bytes(alone[field]), heads
+        cells = mesh_cells(fileio.read_grid(both[field]))
+        full = fileio.read_grid(alone["vertex"]).offsets
+        offsets = fileio.read_grid(both["vertex"]).offsets
+        assert offsets[cells].tobytes() == full[cells].tobytes(), heads
+        assert np.all(offsets[~cells] == 0.5) and np.any(full[~cells] != 0.5), heads
+        modes = ([["--mode", "ndc"]] if kind == "sdf" else
+                 [["--mode", "undc"], ["--mode", "undc", "--close-holes"]])
+        given = "--signs" if kind == "sdf" else "--flags"
+        # from the field file with either vertex file, and with both fields
+        # predicted from the dataset's weights
+        inputs = [[given, both[field], "--offsets", alone["vertex"]],
+                  [given, both[field], "--offsets", both["vertex"]], []]
+        for mode in modes:
+            objs = []
+            for files in inputs:
+                path = str(tmp_path / "mesh.obj")
+                assert cli_main(["mesh", "--data", data, "-o", path, *mode, *files]) == 0
+                objs.append(read_bytes(path))
+            assert b"\nf " in objs[0] and objs[1] == objs[0] == objs[2], mode

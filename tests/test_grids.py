@@ -1,11 +1,13 @@
 """Grid containers and the scalar-field primitives."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from ndcmesh._dual import cells_to_edge_field, edge_field_to_cells
+from ndcmesh.dc import dc_extract
 from ndcmesh.errors import InvalidKind, NonFiniteValues, ShapeError
 from ndcmesh.grids import (EdgeField, GridDims, GridKind, ScalarGrid,
                            SignGrid, VertexOffsetGrid, central_gradients,
@@ -145,6 +147,19 @@ def test_signs_crossings_and_marching_cubes_refuse_unsigned_grids():
         for iso in (0.0, 2.0):
             with pytest.raises(InvalidKind):
                 fn(udf, iso)
+
+
+def test_a_non_finite_iso_level_is_refused():
+    grid = sphere_grid(GridDims(6, 6, 6), np.full(3, 2.5), 1.7)
+    calls = [lambda: mc_extract(grid, np.nan),
+             lambda: dc_extract(grid, "estimated", np.nan),
+             lambda: dc_extract(grid, "estimated", np.inf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NonFiniteValues):
+                call()
+    assert len(mc_extract(grid, 0.0).tris) and len(dc_extract(grid, "estimated", 0.0).quads)
 
 
 # -- crossings --------------------------------------------------------------

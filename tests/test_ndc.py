@@ -15,7 +15,7 @@ from ndcmesh.grids import (EdgeField, GridDims, GridKind, ScalarGrid, SignGrid,
                            VertexOffsetGrid, signs_from_scalar, xor_flags)
 from ndcmesh.mc import mc_extract
 from ndcmesh.mesh import QuadMesh, edge_topology_stats
-from ndcmesh.ndc import close_holes, ndc_extract, undc_extract
+from ndcmesh.ndc import close_holes, mesh_cells, ndc_extract, undc_extract
 from ndcmesh.rng import rng_for
 from ndcmesh.transforms import (NUM_SPATIAL, transform_edge_field, transform_offsets,
                                 transform_points, transform_scalar_grid, transform_sign_grid)
@@ -315,6 +315,34 @@ def test_hole_closing_matches_the_slice_reference_bit_for_bit():
                         assert got.axis(a).dtype == bool
                         assert np.array_equal(got.axis(a), want.axis(a)), (
                             dims, density, max_passes, a)
+
+
+def test_mesh_cells_are_the_cells_every_mesh_from_the_field_reads():
+    """A cell's offset moves a mesh vertex exactly when it is a mesh cell:
+    for signs (ndc), and for flags (undc) with and without close_holes,
+    which flips flags on 8 of these fields and never adds a cell."""
+    rng = rng_for(19, "mesh-cells")
+    flipped = 0
+    for narrow in range(8):  # bit t makes axis t two vertices wide
+        for density in (0.05, 0.2, 0.5):
+            dims = GridDims(*(2 if narrow >> t & 1 else int(rng.integers(3, 10))
+                              for t in range(3)))
+            signs = SignGrid(dims, rng.random(dims.vertex_shape) < density)
+            flags = random_flags(dims, density, rng)
+            closed = close_holes(flags)
+            flipped += any(np.any(c != f) for c, f in zip(closed.axes, flags.axes))
+            for field, meshes in ((signs, [xor_flags(signs)]), (flags, [flags, closed])):
+                cells = mesh_cells(field)
+                for mesh_flags in meshes:
+                    off = rng.random(dims.cell_shape + (3,))
+                    moved = np.where(cells[..., None], off, rng.random(off.shape))
+                    a, b = (undc_extract(mesh_flags, VertexOffsetGrid(dims, o))
+                            for o in (off, moved))
+                    assert np.array_equal(a.quads, b.quads)
+                    assert np.array_equal(a.vertices, b.vertices), (dims, density)
+                    # and a mesh vertex per mesh cell, none elsewhere
+                    assert len(a.vertices) == cells.sum(), (dims, density)
+    assert flipped >= 8
 
 
 def face_set(mesh, dims: GridDims, transform_id: int = 0) -> Counter:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from ndcmesh.errors import ShapeError
-from ndcmesh.nn import (BCE_EPS, Adam, Conv3d, LeakyReLU, Linear, MaxPoolAxis, Param,
-                        ResBlockFC, Sequential, Sigmoid, bce_loss, mse_loss, sigmoid)
+from ndcmesh.nn import (BCE_EPS, LEAKY_SLOPE, Adam, Conv3d, LeakyReLU, Linear, MaxPoolAxis,
+                        Param, ResBlockFC, Sequential, Sigmoid, bce_loss, mse_loss, sigmoid)
+from ndcmesh.nn.layers import inference
 from ndcmesh.nn.network import band_sets, stack_rows
 from ndcmesh.rng import rng_for
 
@@ -287,6 +288,25 @@ def test_linear_gradients_match_finite_differences():
 def test_leaky_relu_gradients_match_finite_differences():
     x = away_from_zero(rng_for(22, "lrelu-fd"), (3, 4, 4, 4))
     check_layer_gradients(LeakyReLU(), x, seed=202)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_equals_the_select_formula_bit_for_bit(dtype):
+    info = np.finfo(dtype)
+    sub = info.smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, -3.5,
+                        info.tiny, -info.tiny, info.max, -info.max,
+                        sub, -sub, 7 * sub, -7 * sub, -100 * sub, -1000 * sub], dtype=dtype)
+    x = np.concatenate([special, rng_for(29, "lrelu").standard_normal(500).astype(dtype)])
+    pos = x >= 0
+    want = np.where(pos, x, LEAKY_SLOPE * x)
+    gy = rng_for(29, "lrelu-gy").standard_normal(x.shape).astype(dtype)
+    relu = LeakyReLU()
+    with inference():
+        assert same_bits(relu.forward(x), want)
+    assert relu._pos is None  # nothing kept for a backward pass
+    assert same_bits(relu.forward(x), want)
+    assert same_bits(relu.backward(gy), np.where(pos, gy, LEAKY_SLOPE * gy))
 
 
 def test_sigmoid_gradients_match_finite_differences():

@@ -21,7 +21,7 @@ import ndcmesh.nn.train as train_module
 from ndcmesh._dual import edge_field_to_cells
 from ndcmesh.csg import random_scene
 from ndcmesh.datagen import cloud_active_cells, make_training_sample, sample_point_cloud
-from ndcmesh.errors import NonFiniteValues, ShapeError, TrainingDiverged
+from ndcmesh.errors import InvalidArgument, NonFiniteValues, ShapeError, TrainingDiverged
 from ndcmesh.fileio import save_weights
 from ndcmesh.grids import GridDims, GridKind, ScalarGrid, SignGrid, VertexOffsetGrid
 from ndcmesh.nn import (BCE_EPS, GRID_VARIANTS, Adam, Conv3d, GridNetwork, PointNetwork,
@@ -552,6 +552,47 @@ def test_point_predictions_equal_the_dense_pass_on_active_cells_and_the_fill_els
                         owned = got.axis(a)[: cells[0], : cells[1], : cells[2]]
                         assert np.array_equal(owned, want[a] > 0.5), (dims, a)
                         assert owned.sum() == got.axis(a).sum(), (dims, a)
+
+
+def test_vertex_predictions_at_given_cells_equal_the_full_prediction_there():
+    """predict(x, cells=m) computes the used outputs among m, on rows,
+    with the bits of the full prediction, and holds the fill elsewhere."""
+    dims = GridDims(14, 14, 14)
+    cloud = 0.3 + rng_for(55, "cloud").random((40, 3)) * np.array([6.0, 5.0, 9.0])
+    grid = prediction_grids()[GridKind.SDF][0]
+    rng = rng_for(55, "cells")
+    for dtype in (np.float32, np.float64):
+        point = random_biases(PointNetwork("vertex", channels=5, seed=55, dtype=dtype,
+                                           resblocks=1), 55)
+        sdf_v = random_biases(GridNetwork("sdf_v", channels=5, seed=55, dtype=dtype), 55)
+        for net, args, used in ((point, (cloud, dims), cloud_active_cells(cloud, dims)),
+                                (sdf_v, (grid,), sdf_v.used_outputs(grid)[0][0])):
+            full = net.predict(*args).offsets
+            shape = used.shape
+            masks = [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool), used,
+                     rng.random(shape) < 0.2, rng.random(shape) < 0.6]
+            for cells in masks:
+                got = net.predict(*args, cells=cells).offsets
+                at = used & cells
+                assert same_bits(got[at], full[at]), net.variant
+                assert np.all(got[~at] == 0.5), net.variant
+            assert not np.all(full[used] == 0.5)
+
+
+def test_predict_refuses_cells_of_the_wrong_shape_or_head():
+    dims = GridDims(8, 8, 8)
+    nb = cloud_neighbors(1.0 + 6.0 * rng_for(56, "cloud").random((40, 3)), dims)
+    grid = ScalarGrid(dims, GridKind.SDF, np.full(dims.vertex_shape, 0.5))
+    right, wrong = np.ones(dims.cell_shape, dtype=bool), np.ones(dims.vertex_shape, dtype=bool)
+    with pytest.raises(ShapeError):
+        PointNetwork("vertex", channels=4, seed=56, resblocks=1).predict(nb, dims, cells=wrong)
+    with pytest.raises(InvalidArgument):
+        PointNetwork("flag", channels=4, seed=56, resblocks=1).predict(nb, dims, cells=right)
+    with pytest.raises(ShapeError):
+        GridNetwork("sdf_v", channels=4, seed=56).predict(grid, cells=wrong)
+    for variant in ("sdf_s", "sdf_f"):
+        with pytest.raises(InvalidArgument):
+            GridNetwork(variant, channels=4, seed=56).predict(grid, cells=right)
 
 
 def test_non_finite_clouds_are_rejected_before_any_work():
